@@ -12,7 +12,10 @@ factorization reuse (``SolverOptions(newton="freeze")``, the
 ``newton_reuse`` case and the delay/crosstalk fast sides), stacked
 same-topology transient batching (``batched_sweep``), the engine's
 ``batch`` executor (``engine_sweep``) and batched lease claims in the
-worker loop (``dist_workers``).
+worker loop (``dist_workers``).  Every transient runs on the one compiled
+solver; the legacy sides of the solver cases run the dense re-stamping
+reference (``reference_transient_analysis``), rebound into the delay and
+crosstalk modules by :func:`_reference_solver`.
 
 Modes
 -----
@@ -31,13 +34,16 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
+import repro.circuit.crosstalk as crosstalk_module
+import repro.circuit.delay as delay_module
 from repro.api import Engine, SweepSpec
-from repro.circuit import Circuit, Step, solver_backend, transient_analysis
+from repro.circuit import Circuit, Step, transient_analysis
 from repro.circuit.compiled import SolverOptions
 from repro.circuit.crosstalk import analyze_crosstalk
 from repro.circuit.delay import (
@@ -45,6 +51,7 @@ from repro.circuit.delay import (
     measure_inverter_line_delay_batch,
 )
 from repro.circuit.mna import MNAAssembler
+from repro.circuit.transient import reference_transient_analysis
 from repro.circuit.rcline import add_rc_ladder
 from repro.core import InterconnectLine, MWCNTInterconnect
 from repro.core.line import DistributedRC
@@ -117,6 +124,39 @@ def _waveform_parity(reference, candidate) -> float:
     return worst / scale
 
 
+@contextmanager
+def _reference_solver() -> Iterator[None]:
+    """Run the delay and crosstalk benchmarks on the dense reference solver.
+
+    Rebinds the transient entry points those modules call to
+    ``reference_transient_analysis`` for the duration of the block (the
+    reference has no Newton policy, so ``solver_opts`` is dropped).
+    """
+
+    def single(*args, solver_opts=None, **kwargs):
+        return reference_transient_analysis(*args, **kwargs)
+
+    def batch(jobs):
+        return [
+            reference_transient_analysis(
+                job.circuit,
+                job.stop_time,
+                job.time_step,
+                method=job.method,
+                use_dc_start=job.use_dc_start,
+                max_newton_iterations=job.max_newton_iterations,
+            )
+            for job in jobs
+        ]
+
+    saved = crosstalk_module.transient_analysis, delay_module.batched_transient_analysis
+    crosstalk_module.transient_analysis, delay_module.batched_transient_analysis = single, batch
+    try:
+        yield
+    finally:
+        crosstalk_module.transient_analysis, delay_module.batched_transient_analysis = saved
+
+
 # --- cases -------------------------------------------------------------------
 
 
@@ -145,12 +185,8 @@ def case_transient_rc_line(smoke: bool) -> CaseResult:
 
     stop = 2e-9
     dt = stop / n_steps
-    legacy_s, reference = _timed(
-        lambda: transient_analysis(circuit, stop, dt, backend="dense")
-    )
-    fast_s, candidate = _timed(
-        lambda: transient_analysis(circuit, stop, dt, backend="sparse"), repeats=3
-    )
+    legacy_s, reference = _timed(lambda: reference_transient_analysis(circuit, stop, dt))
+    fast_s, candidate = _timed(lambda: transient_analysis(circuit, stop, dt), repeats=3)
     return CaseResult(
         name="transient_rc_line",
         legacy_s=legacy_s,
@@ -196,7 +232,9 @@ def case_delay_benchmark(smoke: bool) -> CaseResult:
 
     The fast side stacks both optimisation rounds: compiled sparse MNA
     (PR 3) plus frozen-factorization Newton (PR 8), which is what the
-    experiment stack runs when flipped to freeze mode.
+    experiment stack runs when flipped to freeze mode.  Smoke mode stays
+    below the splu threshold, where the freeze policy does not apply and
+    parity is bitwise.
     """
     n_segments = 30 if smoke else 200
     n_steps = 200 if smoke else 600
@@ -205,13 +243,12 @@ def case_delay_benchmark(smoke: bool) -> CaseResult:
     )
     line = InterconnectLine(tube, n_segments=n_segments)
 
-    legacy_s, reference = _timed(
-        lambda: measure_inverter_line_delay(line, n_time_steps=n_steps, backend="dense")
-    )
-    fast_s, candidate = _timed(
-        lambda: measure_inverter_line_delay(
-            line, n_time_steps=n_steps, backend="sparse", solver_opts=FREEZE
+    with _reference_solver():
+        legacy_s, reference = _timed(
+            lambda: measure_inverter_line_delay(line, n_time_steps=n_steps)
         )
+    fast_s, candidate = _timed(
+        lambda: measure_inverter_line_delay(line, n_time_steps=n_steps, solver_opts=FREEZE)
     )
     parity = abs(candidate.propagation_delay - reference.propagation_delay) / abs(
         reference.propagation_delay
@@ -240,13 +277,12 @@ def case_crosstalk(smoke: bool) -> CaseResult:
     line = InterconnectLine(tube, n_segments=n_segments)
     coupling = 40e-18 / 1e-6 * um(50)  # ~40 aF/um of line-to-line coupling
 
-    legacy_s, reference = _timed(
-        lambda: analyze_crosstalk(line, coupling, n_time_steps=n_steps, backend="dense")
-    )
-    fast_s, candidate = _timed(
-        lambda: analyze_crosstalk(
-            line, coupling, n_time_steps=n_steps, backend="sparse", solver_opts=FREEZE
+    with _reference_solver():
+        legacy_s, reference = _timed(
+            lambda: analyze_crosstalk(line, coupling, n_time_steps=n_steps)
         )
+    fast_s, candidate = _timed(
+        lambda: analyze_crosstalk(line, coupling, n_time_steps=n_steps, solver_opts=FREEZE)
     )
     parity = max(
         abs(candidate.noise_peak - reference.noise_peak)
@@ -394,14 +430,15 @@ def case_dist_workers(smoke: bool) -> CaseResult:
 def case_newton_reuse(smoke: bool) -> CaseResult:
     """Frozen-factorization Newton vs per-iteration refactorization.
 
-    Isolates the PR-8 solver win from the PR-3 backend win: both sides run
-    the compiled *sparse* path on the Fig. 11 delay benchmark; only the
+    Isolates the PR-8 solver win from the PR-3 compiled-solver win: both
+    sides run the compiled solver on the Fig. 11 delay benchmark; only the
     Newton policy differs (``exact`` refactorizes every iteration,
     ``freeze`` reuses one numeric LU across iterations and steps with
     residual-triggered refreshes).  Full mode uses a longer ladder than
     ``delay_benchmark``: factorization cost grows with the system while the
     per-iteration triangular solves stay cheap, so this is the regime the
-    freeze policy exists for.
+    freeze policy exists for (smoke mode stays below the splu threshold,
+    where both sides run the same exact Newton).
     """
     n_segments = 30 if smoke else 800
     n_steps = 200 if smoke else 600
@@ -412,13 +449,11 @@ def case_newton_reuse(smoke: bool) -> CaseResult:
 
     legacy_s, reference = _timed(
         lambda: measure_inverter_line_delay(
-            line, n_time_steps=n_steps, backend="sparse", solver_opts=SolverOptions()
+            line, n_time_steps=n_steps, solver_opts=SolverOptions()
         )
     )
     fast_s, candidate = _timed(
-        lambda: measure_inverter_line_delay(
-            line, n_time_steps=n_steps, backend="sparse", solver_opts=FREEZE
-        )
+        lambda: measure_inverter_line_delay(line, n_time_steps=n_steps, solver_opts=FREEZE)
     )
     parity = abs(candidate.propagation_delay - reference.propagation_delay) / abs(
         reference.propagation_delay
@@ -440,10 +475,11 @@ def case_batched_sweep(smoke: bool) -> CaseResult:
 
     The PR-8 batched point evaluation in isolation: N inverter-line delay
     benchmarks that differ only in contact resistance (same topology, all
-    below the dense-backend threshold) are measured one call at a time vs
-    through :func:`~repro.circuit.delay.measure_inverter_line_delay_batch`,
-    which stacks the per-step linear systems into one dense kernel.
-    Results are required to be float-identical per line.
+    below the splu threshold) are measured one call at a time -- each a
+    compiled batch of one -- vs through
+    :func:`~repro.circuit.delay.measure_inverter_line_delay_batch`, which
+    compiles them into one stacked dense system.  Results are required to
+    be float-identical per line.
     """
     n_lines = 4 if smoke else 16
     n_segments = 8 if smoke else 12

@@ -25,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis._compat import warn_legacy
-from repro.circuit.delay import (
-    measure_inverter_line_delay,
-    measure_inverter_line_delay_batch,
-)
+from repro.circuit.delay import measure_inverter_line_delay_batch
+from repro.circuit.inverter import Inverter
 from repro.circuit.technology import NODE_45NM, TechnologyNode
 from repro.core.doping import DopingProfile
 from repro.core.line import InterconnectLine
@@ -88,12 +86,7 @@ def _line(study: DelayRatioStudy, diameter_nm: float, length_um: float, channels
     return InterconnectLine(tube, n_segments=study.n_segments)
 
 
-def _delay(study: DelayRatioStudy, line: InterconnectLine) -> float:
-    if study.use_transient:
-        measurement = measure_inverter_line_delay(line, technology=study.technology)
-        return measurement.propagation_delay
-    from repro.circuit.inverter import Inverter
-
+def _elmore_delay(study: DelayRatioStudy, line: InterconnectLine) -> float:
     driver = Inverter("drv", "a", "b", technology=study.technology)
     receiver = Inverter("rcv", "b", "c", technology=study.technology)
     return line.elmore_delay(
@@ -107,43 +100,22 @@ def fig12_records(study: DelayRatioStudy | None = None) -> list[dict]:
 
     Returns one record per (diameter, length, Nc) with the absolute delay and
     the delay ratio relative to the pristine (Nc = 2) line of the same
-    diameter and length.
+    diameter and length.  A batch of one: see :func:`fig12_records_batch`.
     """
-    study = study or DelayRatioStudy()
-    records: list[dict] = []
-    for diameter in study.diameters_nm:
-        for length in study.lengths_um:
-            pristine_delay = _delay(study, _line(study, diameter, length, 2.0))
-            for channels in study.channel_counts:
-                if channels == 2.0:
-                    delay = pristine_delay
-                else:
-                    delay = _delay(study, _line(study, diameter, length, channels))
-                records.append(
-                    {
-                        "diameter_nm": diameter,
-                        "length_um": length,
-                        "channels_per_shell": channels,
-                        "delay_ps": delay * 1e12,
-                        "delay_ratio": delay / pristine_delay,
-                        "delay_reduction_percent": 100.0 * (1.0 - delay / pristine_delay),
-                    }
-                )
-    return records
+    return fig12_records_batch([study or DelayRatioStudy()])[0]
 
 
 def fig12_records_batch(studies: list[DelayRatioStudy]) -> list[list[dict]]:
     """Run several Fig. 12 studies with their transients batched together.
 
-    The records of each study are float-identical to :func:`fig12_records`
-    of the same study: the exact set of lines the serial loop would simulate
-    is enumerated first (one pristine line per (diameter, length) -- reused
-    for ``Nc = 2`` exactly like the serial loop reuses it -- plus one line
-    per doped channel count), all transients are evaluated through
+    The lines to simulate are enumerated first (one pristine line per
+    (diameter, length), whose delay is also the ``Nc = 2`` record, plus one
+    line per doped channel count); all transients are evaluated through
     :func:`repro.circuit.delay.measure_inverter_line_delay_batch` (grouped
     by technology, since the driver/receiver cells depend on it), and the
-    record arithmetic is then replayed from the measured delays.  This is
-    what the engine's ``batch`` executor calls when several ``fig12`` sweep
+    records are then built from the measured delays.  Each study's records
+    are float-identical whether it runs alone or batched with others; the
+    engine's ``batch`` executor calls this when several ``fig12`` sweep
     points are pending at once.
     """
     requests: dict[tuple, None] = {}
@@ -162,7 +134,7 @@ def fig12_records_batch(studies: list[DelayRatioStudy]) -> list[list[dict]]:
         if study.use_transient:
             transient_keys.setdefault(study.technology, []).append(key)
         else:
-            delays[key] = _delay(study, _line(study, *key[1:]))
+            delays[key] = _elmore_delay(study, _line(study, *key[1:]))
     for technology, keys in transient_keys.items():
         lines = [
             _line(studies[study_index], diameter, length, channels)

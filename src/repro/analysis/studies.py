@@ -54,7 +54,7 @@ from repro.analysis.fig10_tcad import fig10_capacitance_summary
 from repro.api.experiment import Consumes, OutputSpec, ParamSpec, register_experiment
 from repro.api.study import register_study
 from repro.api.sweep import SweepSpec
-from repro.circuit.delay import measure_inverter_line_delay
+from repro.circuit.delay import measure_inverter_line_delay_batch
 from repro.core.line import DistributedRC
 from repro.characterization.electromigration import em_stress_test
 from repro.characterization.tlm import tlm_round_trip
@@ -466,34 +466,44 @@ def _variability_delay(
         outer_diameter=nm(outer_diameter_nm), length=um(length_um)
     )
     capacitance = device.capacitance_per_length * um(length_um)
-    records: list[dict] = []
-    for row in variability_result.require_columns(
+    rows = variability_result.require_columns(
         "population", "mean_kohm", "std_kohm"
-    ).to_records():
+    ).to_records()
+    corners: list[dict[str, float]] = []
+    for row in rows:
         mean_ohm = row["mean_kohm"] * 1e3
         sigma_ohm = row["std_kohm"] * 1e3
-        corners = {
-            "fast": max(mean_ohm - n_sigma * sigma_ohm, 0.05 * mean_ohm),
-            "mean": mean_ohm,
-            "slow": mean_ohm + n_sigma * sigma_ohm,
-        }
-        delays = {
-            corner: measure_inverter_line_delay(
-                DistributedRC(
-                    total_resistance=resistance,
-                    total_capacitance=capacitance,
-                    n_segments=n_segments,
-                ),
-                n_time_steps=n_time_steps,
-            ).propagation_delay
-            for corner, resistance in corners.items()
-        }
+        corners.append(
+            {
+                "fast": max(mean_ohm - n_sigma * sigma_ohm, 0.05 * mean_ohm),
+                "mean": mean_ohm,
+                "slow": mean_ohm + n_sigma * sigma_ohm,
+            }
+        )
+    # Every corner of every population is one same-topology line: measure
+    # them all in one batch.
+    lines = [
+        DistributedRC(
+            total_resistance=resistance,
+            total_capacitance=capacitance,
+            n_segments=n_segments,
+        )
+        for population in corners
+        for resistance in population.values()
+    ]
+    measured = iter(
+        measurement.propagation_delay
+        for measurement in measure_inverter_line_delay_batch(lines, n_time_steps=n_time_steps)
+    )
+    records: list[dict] = []
+    for row, population in zip(rows, corners):
+        delays = dict(zip(population, measured))
         for corner in ("fast", "mean", "slow"):
             records.append(
                 {
                     "population": row["population"],
                     "corner": corner,
-                    "resistance_kohm": corners[corner] / 1e3,
+                    "resistance_kohm": population[corner] / 1e3,
                     "delay_ps": delays[corner] * 1e12,
                     "delay_spread": delays[corner] / delays["mean"],
                 }

@@ -10,11 +10,13 @@ This subpackage provides the equivalent machinery:
 * :mod:`repro.circuit.technology` -- 45 nm / 14 nm technology-node parameters,
 * :mod:`repro.circuit.netlist` -- the circuit container (nodes, elements,
   SPICE-like export),
-* :mod:`repro.circuit.mna` -- modified nodal analysis assembly (dense),
-* :mod:`repro.circuit.compiled` -- compiled sparse stamping with
-  factorization reuse (the fast path for large circuits),
+* :mod:`repro.circuit.mna` -- modified nodal analysis assembly (the dense
+  parity reference),
+* :mod:`repro.circuit.compiled` -- the compiled MNA solver: topology
+  compiled once, stacked dense or sparse LU by size, one Newton loop,
 * :mod:`repro.circuit.dc` -- Newton DC operating point,
 * :mod:`repro.circuit.transient` -- backward-Euler / trapezoidal transient,
+* :mod:`repro.circuit.batched` -- same-topology transients in one batch,
 * :mod:`repro.circuit.inverter` -- CMOS inverter cells and chains,
 * :mod:`repro.circuit.rcline` -- distributed RC ladder expansion of
   interconnect lines,
@@ -31,24 +33,25 @@ from repro.circuit.elements import (
     Step,
     VoltageSource,
 )
-from repro.circuit.compiled import (
-    SPARSE_SIZE_THRESHOLD,
-    CompiledMNA,
-    resolve_backend,
-    solver_backend,
-)
+from repro.circuit.compiled import SPARSE_SIZE_THRESHOLD, CompiledMNA, SolverOptions
 from repro.circuit.netlist import Circuit
 from repro.circuit.mosfet import MOSFET, MOSFETParameters
 from repro.circuit.technology import TechnologyNode, NODE_45NM, NODE_14NM
 from repro.circuit.inverter import Inverter
 from repro.circuit.dc import dc_operating_point
-from repro.circuit.transient import TransientResult, transient_analysis
+from repro.circuit.transient import (
+    TransientJob,
+    TransientResult,
+    transient_analysis,
+)
+from repro.circuit.batched import batched_transient_analysis
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.delay import (
     crossing_time,
     propagation_delay,
     rise_time,
     measure_inverter_line_delay,
+    measure_inverter_line_delay_batch,
 )
 
 __all__ = [
@@ -63,8 +66,7 @@ __all__ = [
     "Circuit",
     "CompiledMNA",
     "SPARSE_SIZE_THRESHOLD",
-    "resolve_backend",
-    "solver_backend",
+    "SolverOptions",
     "MOSFET",
     "MOSFETParameters",
     "TechnologyNode",
@@ -73,10 +75,13 @@ __all__ = [
     "Inverter",
     "dc_operating_point",
     "transient_analysis",
+    "batched_transient_analysis",
+    "TransientJob",
     "TransientResult",
     "add_rc_ladder",
     "crossing_time",
     "propagation_delay",
     "rise_time",
     "measure_inverter_line_delay",
+    "measure_inverter_line_delay_batch",
 ]

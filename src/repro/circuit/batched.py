@@ -2,416 +2,57 @@
 
 Sweep points over one interconnect topology differ only in element *values*
 (resistances, capacitances, source waveforms, MOSFET parameters) -- the MNA
-pattern, node numbering and step count are identical.  The serial path pays
-the full Python re-stamping cost per point per step; this module evaluates a
-whole batch of such circuits in lockstep instead:
+pattern, node numbering and step count are identical.  This module groups
+such jobs and runs each group through :func:`repro.circuit.transient.simulate`,
+which compiles the topology once for the whole group and marches every member
+in lockstep: one stacked dense solve per Newton iteration, a per-job
+convergence mask, and only the genuinely scalar work (MOSFET linearisation,
+source waveforms) left per job.
 
-* the static part of every dense MNA matrix (GMIN, resistors, companion
-  conductances, voltage-source rows) is built **once** into a stacked
-  ``(n_jobs, size, size)`` array -- the per-step / per-iteration Python
-  re-stamp the serial path does disappears entirely;
-* the linear solve of every job becomes one stacked LAPACK call
-  (``np.linalg.solve`` over the leading batch axis);
-* only the genuinely scalar work -- MOSFET linearisation and source waveform
-  evaluation -- still runs per job, exactly like the serial path.
+**Bitwise identity is a hard contract.**  A stacked ``np.linalg.solve`` is
+bitwise-identical to per-slice solves and every Newton decision is taken per
+job, so batched results carry the same content hashes as one
+:func:`~repro.circuit.transient.transient_analysis` per job -- the engine's
+cache and the CI identity checks rely on it.
 
-**Bitwise identity is a hard contract.**  The batched kernel replays the
-exact floating-point statement sequence of the dense reference
-(:class:`repro.circuit.mna.MNAAssembler` + :func:`~repro.circuit.mna.newton_solve`
-as driven by :func:`repro.circuit.transient.transient_analysis`), vectorised
-over the batch axis: elementwise numpy arithmetic performs the same IEEE
-operations as the scalar statements, a stacked ``np.linalg.solve`` is
-bitwise-identical to per-slice solves, and per-job Newton damping /
-convergence decisions are taken with the same scalar arithmetic in the same
-order.  Batched results therefore carry the same content hashes as serial
-per-point runs -- the engine's cache and the CI identity checks rely on it.
-
-Jobs are grouped by a structural signature (matrix size, element topology,
-zero-capacitance pattern, step count, method, Newton budget); singleton
-groups, circuits that resolve to the sparse backend, and any group whose
-stacked solve fails for one job fall back to per-job
-:func:`~repro.circuit.transient.transient_analysis`, so batching can change
-performance but never results.
+Jobs are grouped by :func:`topology_signature`; circuits at ``splu`` sizes
+(:data:`~repro.circuit.compiled.SPARSE_SIZE_THRESHOLD` unknowns or more) run
+one per group, and any group that raises is rerun job by job, so batching can
+change performance but never results or errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.circuit.dc import dc_operating_point
-from repro.circuit.mna import GMIN, CompanionState, MNAAssembler
-from repro.circuit.netlist import Circuit
-from repro.circuit.compiled import resolve_backend
-from repro.circuit.transient import TransientResult, transient_analysis
+from repro.circuit.compiled import SPARSE_SIZE_THRESHOLD, circuit_topology
+from repro.circuit.mna import MNAAssembler
+from repro.circuit.transient import (
+    TransientJob,
+    TransientResult,
+    simulate,
+    transient_analysis,
+)
 from repro.obs import metrics
-from repro.obs.trace import trace_span
 
-NEWTON_TOLERANCE = 1.0e-9
-NEWTON_DAMPING_LIMIT = 1.0
-
-
-@dataclass(frozen=True)
-class TransientJob:
-    """One transient analysis to run inside a batch.
-
-    Fields mirror the :func:`~repro.circuit.transient.transient_analysis`
-    signature; jobs whose derived step count, method, Newton budget and
-    circuit topology match are evaluated together.
-    """
-
-    circuit: Circuit
-    stop_time: float
-    time_step: float
-    method: str = "trapezoidal"
-    use_dc_start: bool = True
-    max_newton_iterations: int = 60
-
-
-def _node(assembler: MNAAssembler, name: str) -> int | None:
-    return assembler.node_index(name)
+__all__ = ["TransientJob", "batched_transient_analysis", "topology_signature"]
 
 
 def topology_signature(job: TransientJob, assembler: MNAAssembler) -> tuple:
-    """Structural key deciding which jobs may share a stacked solve.
+    """Structural key deciding which jobs may share a compiled system.
 
     Two jobs with equal signatures stamp the same matrix coordinates in the
     same order for the same number of steps -- only values differ, which is
-    exactly what the batched kernel vectorises over.
+    exactly what the compiled solver vectorises over.
     """
-    circuit = job.circuit
-    index = assembler.node_index
-    n_steps = int(round(job.stop_time / job.time_step))
     return (
-        assembler.size,
-        assembler.n_nodes,
-        n_steps,
+        job.n_steps,
         job.method,
         job.use_dc_start,
         job.max_newton_iterations,
-        tuple((index(r.a), index(r.b)) for r in circuit.resistors),
-        tuple(
-            (index(c.a), index(c.b), c.capacitance == 0.0) for c in circuit.capacitors
-        ),
-        tuple((index(l.a), index(l.b)) for l in circuit.inductors),
-        tuple((index(s.positive), index(s.negative)) for s in circuit.current_sources),
-        tuple(
-            (assembler.vsource_index(p), index(s.positive), index(s.negative))
-            for p, s in enumerate(circuit.voltage_sources)
-        ),
-        tuple((index(m.drain), index(m.gate), index(m.source)) for m in circuit.mosfets),
+        circuit_topology(job.circuit, assembler),
     )
 
 
-def _validate(job: TransientJob) -> None:
-    """The argument checks of ``transient_analysis``, same messages."""
-    if job.stop_time <= 0 or job.time_step <= 0:
-        raise ValueError("stop time and time step must be positive")
-    if job.time_step > job.stop_time:
-        raise ValueError("time step cannot exceed the stop time")
-    if job.method not in ("trapezoidal", "backward_euler"):
-        raise ValueError(f"unknown integration method {job.method!r}")
-
-
-def _stamp_conductance_stack(
-    matrices: np.ndarray, a: int | None, b: int | None, g: np.ndarray
-) -> None:
-    """Vector twin of ``MNAAssembler._stamp_conductance`` over the batch axis."""
-    if a is not None:
-        matrices[:, a, a] += g
-    if b is not None:
-        matrices[:, b, b] += g
-    if a is not None and b is not None:
-        matrices[:, a, b] -= g
-        matrices[:, b, a] -= g
-
-
-class _Batch:
-    """Precompiled stacked dense system for one group of same-topology jobs."""
-
-    def __init__(self, jobs: list[TransientJob], backend: str | None):
-        self.jobs = jobs
-        self.backend = backend
-        self.n_jobs = len(jobs)
-        self.assemblers = [MNAAssembler(job.circuit) for job in jobs]
-        base = self.assemblers[0]
-        self.size = base.size
-        self.n_nodes = base.n_nodes
-        first = jobs[0]
-        self.method = first.method
-        self.trapezoidal = first.method == "trapezoidal"
-        self.use_dc_start = first.use_dc_start
-        self.max_iterations = first.max_newton_iterations
-        self.n_steps = int(round(first.stop_time / first.time_step))
-        self.nonlinear = bool(first.circuit.mosfets)
-        self.dt = np.array([job.time_step for job in jobs])
-        # Per-job time axes, exactly as the serial path builds them.
-        self.times = [
-            np.linspace(0.0, self.n_steps * job.time_step, self.n_steps + 1)
-            for job in jobs
-        ]
-
-        circuit = first.circuit
-        index = base.node_index
-        self.res_idx = [(index(r.a), index(r.b)) for r in circuit.resistors]
-        self.cap_idx = [(index(c.a), index(c.b)) for c in circuit.capacitors]
-        self.ind_idx = [(index(l.a), index(l.b)) for l in circuit.inductors]
-        self.iso_idx = [(index(s.positive), index(s.negative)) for s in circuit.current_sources]
-        self.vso_idx = [
-            (base.vsource_index(p), index(s.positive), index(s.negative))
-            for p, s in enumerate(circuit.voltage_sources)
-        ]
-        self.mos_idx = [
-            (index(m.drain), index(m.gate), index(m.source)) for m in circuit.mosfets
-        ]
-
-        # Per-element value vectors across the batch axis.  The derived
-        # conductances repeat the scalar expressions of MNAAssembler.assemble
-        # elementwise, so every job's value is bit-for-bit the serial one.
-        self.res_g = [
-            1.0 / np.array([job.circuit.resistors[p].resistance for job in jobs])
-            for p in range(len(circuit.resistors))
-        ]
-        self.cap_c = [
-            np.array([job.circuit.capacitors[p].capacitance for job in jobs])
-            for p in range(len(circuit.capacitors))
-        ]
-        self.cap_zero = [c.capacitance == 0.0 for c in circuit.capacitors]
-        if self.trapezoidal:
-            self.cap_geq = [2.0 * c / self.dt for c in self.cap_c]
-        else:
-            self.cap_geq = [c / self.dt for c in self.cap_c]
-        self.ind_l = [
-            np.array([job.circuit.inductors[p].inductance for job in jobs])
-            for p in range(len(circuit.inductors))
-        ]
-        if self.trapezoidal:
-            self.ind_geq = [self.dt / (2.0 * l) for l in self.ind_l]
-        else:
-            self.ind_geq = [self.dt / l for l in self.ind_l]
-
-        # Static stacked matrix: everything MNAAssembler.assemble stamps
-        # before the MOSFET loop, in the same statement order.  Matrix and
-        # rhs accumulations never mix targets, so splitting them preserves
-        # each entry's accumulation order (hence its bits).
-        matrices = np.zeros((self.n_jobs, self.size, self.size))
-        for i in range(self.n_nodes):
-            matrices[:, i, i] += GMIN
-        for p, (a, b) in enumerate(self.res_idx):
-            _stamp_conductance_stack(matrices, a, b, self.res_g[p])
-        for p, (a, b) in enumerate(self.cap_idx):
-            if self.cap_zero[p]:
-                continue
-            _stamp_conductance_stack(matrices, a, b, self.cap_geq[p])
-        for p, (a, b) in enumerate(self.ind_idx):
-            _stamp_conductance_stack(matrices, a, b, self.ind_geq[p])
-        for row, p, n in self.vso_idx:
-            if p is not None:
-                matrices[:, p, row] += 1.0
-                matrices[:, row, p] += 1.0
-            if n is not None:
-                matrices[:, n, row] -= 1.0
-                matrices[:, row, n] -= 1.0
-        self.static_matrices = matrices
-
-    # --- per-step right-hand side (everything before the MOSFET loop) ------
-
-    def _base_rhs(self, step: int, cap_v, cap_i, ind_i, ind_v) -> np.ndarray:
-        rhs = np.zeros((self.n_jobs, self.size))
-        for p, (a, b) in enumerate(self.cap_idx):
-            if self.cap_zero[p]:
-                continue
-            if self.trapezoidal:
-                ieq = self.cap_geq[p] * cap_v[p] + cap_i[p]
-            else:
-                ieq = self.cap_geq[p] * cap_v[p]
-            # _stamp_current(rhs, b, a, ieq): rhs[b] -= ieq; rhs[a] += ieq.
-            if b is not None:
-                rhs[:, b] -= ieq
-            if a is not None:
-                rhs[:, a] += ieq
-        for p, (a, b) in enumerate(self.ind_idx):
-            if self.trapezoidal:
-                ieq = ind_i[p] + self.ind_geq[p] * ind_v[p]
-            else:
-                ieq = ind_i[p]
-            if a is not None:
-                rhs[:, a] -= ieq
-            if b is not None:
-                rhs[:, b] += ieq
-        for p, (a, b) in enumerate(self.iso_idx):
-            values = np.array(
-                [
-                    job.circuit.current_sources[p].value(self.times[k][step])
-                    for k, job in enumerate(self.jobs)
-                ]
-            )
-            if a is not None:
-                rhs[:, a] -= values
-            if b is not None:
-                rhs[:, b] += values
-        for p, (row, _, _) in enumerate(self.vso_idx):
-            rhs[:, row] += np.array(
-                [
-                    job.circuit.voltage_sources[p].value(self.times[k][step])
-                    for k, job in enumerate(self.jobs)
-                ]
-            )
-        return rhs
-
-    def _stamp_mosfets(
-        self, matrices: np.ndarray, rhs: np.ndarray, rows: list[int], solutions: np.ndarray
-    ) -> None:
-        """Scalar MOSFET linearisation per job, mirroring the dense stamps."""
-        for local, k in enumerate(rows):
-            guess = solutions[k]
-            for p, (d, g, s) in enumerate(self.mos_idx):
-                mosfet = self.jobs[k].circuit.mosfets[p]
-                v_d = 0.0 if d is None else guess[d]
-                v_g = 0.0 if g is None else guess[g]
-                v_s = 0.0 if s is None else guess[s]
-                i_ds, gm, gds = mosfet.evaluate(v_g - v_s, v_d - v_s)
-                i_eq = i_ds - gm * (v_g - v_s) - gds * (v_d - v_s)
-                if d is not None:
-                    if g is not None:
-                        matrices[local, d, g] += gm
-                    matrices[local, d, d] += gds
-                    if s is not None:
-                        matrices[local, d, s] -= gm + gds
-                if s is not None:
-                    if g is not None:
-                        matrices[local, s, g] -= gm
-                    if d is not None:
-                        matrices[local, s, d] -= gds
-                    matrices[local, s, s] += gm + gds
-                if d is not None:
-                    rhs[local, d] -= i_eq
-                if s is not None:
-                    rhs[local, s] += i_eq
-
-    # --- full run ----------------------------------------------------------
-
-    def run(self) -> list[TransientResult]:
-        n_jobs, size = self.n_jobs, self.size
-        solutions = np.zeros((n_jobs, size))
-
-        n_cap = len(self.cap_idx)
-        n_ind = len(self.ind_idx)
-        cap_v = np.zeros((n_cap, n_jobs))
-        cap_i = np.zeros((n_cap, n_jobs))
-        ind_i = np.zeros((n_ind, n_jobs))
-        ind_v = np.zeros((n_ind, n_jobs))
-        for k, job in enumerate(self.jobs):
-            initial = CompanionState.initial(job.circuit)
-            for p, capacitor in enumerate(job.circuit.capacitors):
-                cap_v[p, k] = initial.capacitor_voltages[capacitor.name]
-            for p, inductor in enumerate(job.circuit.inductors):
-                ind_i[p, k] = initial.inductor_currents[inductor.name]
-
-        if self.use_dc_start and size > 0:
-            for k, job in enumerate(self.jobs):
-                assembler = self.assemblers[k]
-                dc = dc_operating_point(job.circuit, time=0.0, backend=self.backend)
-                for name, voltage in dc.node_voltages.items():
-                    solutions[k, assembler.node_index(name)] = voltage
-                for position, source in enumerate(job.circuit.voltage_sources):
-                    solutions[k, assembler.vsource_index(position)] = dc.source_currents[
-                        source.name
-                    ]
-                for p, capacitor in enumerate(job.circuit.capacitors):
-                    cap_v[p, k] = dc.voltage(capacitor.a) - dc.voltage(capacitor.b)
-                    cap_i[p, k] = 0.0
-                ind_i[:, k] = 0.0
-                ind_v[:, k] = 0.0
-
-        trace = np.empty((n_jobs, self.n_steps + 1, size))
-        trace[:, 0] = solutions
-
-        all_rows = list(range(n_jobs))
-        for step in range(1, self.n_steps + 1):
-            base_rhs = self._base_rhs(step, cap_v, cap_i, ind_i, ind_v)
-            if not self.nonlinear:
-                # One linear solve per step, like newton_solve's early return.
-                # The stacked solve is bitwise-identical to per-slice solves.
-                solutions = np.linalg.solve(
-                    self.static_matrices, base_rhs[..., None]
-                )[..., 0]
-            else:
-                active = all_rows
-                for _ in range(self.max_iterations):
-                    matrices = self.static_matrices[active]
-                    rhs = base_rhs[active]
-                    self._stamp_mosfets(matrices, rhs, active, solutions)
-                    new_solutions = np.linalg.solve(matrices, rhs[..., None])[..., 0]
-
-                    still_active: list[int] = []
-                    for local, k in enumerate(active):
-                        delta = new_solutions[local] - solutions[k]
-                        max_delta = float(np.max(np.abs(delta))) if delta.size else 0.0
-                        if max_delta > NEWTON_DAMPING_LIMIT:
-                            delta *= NEWTON_DAMPING_LIMIT / max_delta
-                            solutions[k] = solutions[k] + delta
-                        else:
-                            solutions[k] = new_solutions[local]
-                        if not max_delta < NEWTON_TOLERANCE:
-                            still_active.append(k)
-                    active = still_active
-                    if not active:
-                        break
-                if active:
-                    time = self.times[active[0]][step]
-                    raise RuntimeError(
-                        f"Newton iteration did not converge at t={time} "
-                        f"after {self.max_iterations} iterations"
-                    )
-
-            # State update: vector twin of MNAAssembler.update_state.
-            for p, (a, b) in enumerate(self.cap_idx):
-                v_now = (0.0 if a is None else solutions[:, a]) - (
-                    0.0 if b is None else solutions[:, b]
-                )
-                if self.trapezoidal:
-                    i_now = 2.0 * self.cap_c[p] / self.dt * (v_now - cap_v[p]) - cap_i[p]
-                else:
-                    i_now = self.cap_c[p] / self.dt * (v_now - cap_v[p])
-                cap_v[p] = v_now
-                cap_i[p] = i_now
-            for p, (a, b) in enumerate(self.ind_idx):
-                v_now = (0.0 if a is None else solutions[:, a]) - (
-                    0.0 if b is None else solutions[:, b]
-                )
-                if self.trapezoidal:
-                    i_now = ind_i[p] + self.dt / (2.0 * self.ind_l[p]) * (v_now + ind_v[p])
-                else:
-                    i_now = ind_i[p] + self.dt / self.ind_l[p] * v_now
-                ind_i[p] = i_now
-                ind_v[p] = v_now
-
-            trace[:, step] = solutions
-
-        results = []
-        for k, job in enumerate(self.jobs):
-            assembler = self.assemblers[k]
-            voltages = {
-                name: np.ascontiguousarray(trace[k][:, assembler.node_index(name)])
-                for name in assembler.node_names
-            }
-            currents = {
-                source.name: np.ascontiguousarray(
-                    trace[k][:, assembler.vsource_index(position)]
-                )
-                for position, source in enumerate(job.circuit.voltage_sources)
-            }
-            results.append(
-                TransientResult(
-                    times=self.times[k], node_voltages=voltages, source_currents=currents
-                )
-            )
-        return results
-
-
-def _run_serial(job: TransientJob, backend: str | None) -> TransientResult:
+def _run_alone(job: TransientJob) -> TransientResult:
     return transient_analysis(
         job.circuit,
         job.stop_time,
@@ -419,53 +60,41 @@ def _run_serial(job: TransientJob, backend: str | None) -> TransientResult:
         method=job.method,
         use_dc_start=job.use_dc_start,
         max_newton_iterations=job.max_newton_iterations,
-        backend=backend,
     )
 
 
-def batched_transient_analysis(
-    jobs: list[TransientJob], backend: str | None = None
-) -> list[TransientResult]:
-    """Evaluate transient jobs, batching same-topology dense groups.
+def batched_transient_analysis(jobs: list[TransientJob]) -> list[TransientResult]:
+    """Evaluate transient jobs, batching same-topology groups.
 
     Results are returned in job order and are bitwise-identical to calling
     :func:`~repro.circuit.transient.transient_analysis` per job (see module
-    docstring).  Jobs that resolve to the sparse backend, singleton groups,
-    and groups whose stacked kernel raises run per job through the serial
-    path instead.
+    docstring).  A group whose batched run raises is rerun job by job, so a
+    failing job raises the error it raises alone.
     """
-    results: list[TransientResult | None] = [None] * len(jobs)
     groups: dict[tuple, list[int]] = {}
-    serial_indices: list[int] = []
     for position, job in enumerate(jobs):
-        _validate(job)
+        job.validate()
         assembler = MNAAssembler(job.circuit)
-        if resolve_backend(assembler.size, backend) != "dense":
-            serial_indices.append(position)
-            continue
-        groups.setdefault(topology_signature(job, assembler), []).append(position)
+        if assembler.size >= SPARSE_SIZE_THRESHOLD:
+            key: tuple = ("alone", position)
+        else:
+            key = topology_signature(job, assembler)
+        groups.setdefault(key, []).append(position)
 
-    for position in serial_indices:
-        results[position] = _run_serial(jobs[position], backend)
-
+    results: list[TransientResult | None] = [None] * len(jobs)
     for indices in groups.values():
-        if len(indices) == 1:
+        group = [jobs[i] for i in indices]
+        if len(group) == 1:
             metrics.counter("repro_batch_groups_total", mode="serial").inc()
-            results[indices[0]] = _run_serial(jobs[indices[0]], backend)
-            continue
-        group_jobs = [jobs[i] for i in indices]
-        try:
-            with trace_span("circuit.batch", n_jobs=len(group_jobs)):
-                group_results = _Batch(group_jobs, backend).run()
-            metrics.counter("repro_batch_groups_total", mode="stacked").inc()
-            metrics.histogram("repro_batch_group_points").observe(len(group_jobs))
-        except Exception:
-            # Never let batching change observable behaviour: rerun the
-            # group serially so a genuinely failing job raises the same
-            # error a serial caller would see.
-            metrics.counter("repro_batch_groups_total", mode="fallback").inc()
-            group_results = [_run_serial(job, backend) for job in group_jobs]
+            group_results = simulate(group)
+        else:
+            try:
+                group_results = simulate(group)
+                metrics.counter("repro_batch_groups_total", mode="stacked").inc()
+                metrics.histogram("repro_batch_group_points").observe(len(group))
+            except Exception:
+                metrics.counter("repro_batch_groups_total", mode="fallback").inc()
+                group_results = [_run_alone(job) for job in group]
         for index, result in zip(indices, group_results):
             results[index] = result
-
     return results  # type: ignore[return-value]

@@ -109,7 +109,6 @@ def analyze_crosstalk(
     technology: TechnologyNode = NODE_45NM,
     simulation_margin: float = 10.0,
     n_time_steps: int = 500,
-    backend: str | None = None,
     solver_opts: SolverOptions | None = None,
 ) -> CrosstalkResult:
     """Simulate the victim/aggressor pair and extract noise and delay push-out.
@@ -127,12 +126,9 @@ def analyze_crosstalk(
         Simulation window as a multiple of the victim's Elmore delay.
     n_time_steps:
         Number of transient steps per simulation.
-    backend:
-        MNA solver backend (``"dense"``/``"sparse"``); ``None`` selects by
-        circuit size (:func:`repro.circuit.compiled.resolve_backend`).
     solver_opts:
         Newton policy forwarded to every :func:`transient_analysis` call
-        (sparse backend only).
+        (applies at ``splu`` sizes).
 
     Returns
     -------
@@ -151,7 +147,7 @@ def analyze_crosstalk(
         line, coupling_capacitance, technology, victim_switches=False,
         aggressor_switches=True, aggressor_rising=True,
     )
-    result = transient_analysis(circuit, stop_time, dt, backend=backend, solver_opts=solver_opts)
+    result = transient_analysis(circuit, stop_time, dt, solver_opts=solver_opts)
     victim_far = result.voltage("vfar")
     baseline = victim_far[0]
     noise_peak = float(np.max(np.abs(victim_far - baseline)))
@@ -161,7 +157,7 @@ def analyze_crosstalk(
         line, coupling_capacitance, technology, victim_switches=True,
         aggressor_switches=False, aggressor_rising=True,
     )
-    quiet = transient_analysis(circuit_quiet, stop_time, dt, backend=backend, solver_opts=solver_opts)
+    quiet = transient_analysis(circuit_quiet, stop_time, dt, solver_opts=solver_opts)
     t_in = crossing_time(quiet.times, quiet.voltage("vin"), v_dd / 2)
     t_quiet = crossing_time(quiet.times, quiet.voltage("vfar"), v_dd / 2, start_time=t_in) - t_in
 
@@ -170,7 +166,7 @@ def analyze_crosstalk(
         line, coupling_capacitance, technology, victim_switches=True,
         aggressor_switches=True, aggressor_rising=False,
     )
-    opposite = transient_analysis(circuit_opp, stop_time, dt, backend=backend, solver_opts=solver_opts)
+    opposite = transient_analysis(circuit_opp, stop_time, dt, solver_opts=solver_opts)
     t_in_opp = crossing_time(opposite.times, opposite.voltage("vin"), v_dd / 2)
     t_opposite = (
         crossing_time(opposite.times, opposite.voltage("vfar"), v_dd / 2, start_time=t_in_opp)

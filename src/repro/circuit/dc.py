@@ -5,21 +5,20 @@ given time (default 0) and the nonlinear system is solved by Newton
 iteration.  The result seeds transient analyses so that simulations start
 from a consistent bias point.
 
-Like the transient front end, the solve is backend-routed (see
-:func:`repro.circuit.compiled.resolve_backend`): circuits below the sparse
-threshold keep the dense one-shot assembly, large ladders compile the
-topology once and solve through sparse LU -- same Newton damping, same
-convergence test, identical operating points to solver precision.
+The solve runs on :class:`~repro.circuit.compiled.CompiledMNA` compiled in
+DC mode.  :func:`operating_points` solves a batch of same-topology circuits
+together -- the DC start of :func:`repro.circuit.transient.simulate` -- and
+:func:`dc_operating_point` is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.circuit.compiled import ArrayState, CompiledMNA, resolve_backend
-from repro.circuit.mna import MNAAssembler, newton_solve
+from repro.circuit.compiled import CompiledMNA
 from repro.circuit.netlist import Circuit
 
 
@@ -53,12 +52,34 @@ class DCResult:
         return self.source_currents[source_name]
 
 
+def operating_points(
+    circuits: Sequence[Circuit],
+    time: float = 0.0,
+    max_iterations: int = 200,
+    tolerance: float = 1.0e-9,
+) -> np.ndarray:
+    """DC solution vectors, ``(len(circuits), size)``, of same-topology circuits.
+
+    Newton starts from a supply-aware guess -- every node halfway to the
+    circuit's largest DC source magnitude -- which speeds up and stabilises
+    CMOS circuits.
+    """
+    compiled = CompiledMNA(circuits, dt=None, capacitors_open=True)
+    guess = np.zeros((compiled.n_jobs, compiled.size))
+    for row, circuit in zip(guess, compiled.circuits):
+        supply_levels = [abs(v.value(time)) for v in circuit.voltage_sources]
+        if supply_levels:
+            row[: compiled.base.n_nodes] = 0.5 * max(supply_levels)
+    return compiled.solve_step(
+        time, guess, None, max_iterations=max_iterations, tolerance=tolerance
+    )
+
+
 def dc_operating_point(
     circuit: Circuit,
     time: float = 0.0,
     max_iterations: int = 200,
     tolerance: float = 1.0e-9,
-    backend: str | None = None,
 ) -> DCResult:
     """Solve the DC operating point of a circuit.
 
@@ -73,52 +94,19 @@ def dc_operating_point(
         Newton iteration cap.
     tolerance:
         Convergence threshold in volt.
-    backend:
-        ``"dense"``, ``"sparse"`` or ``None`` (default) for automatic
-        size-based selection -- see
-        :func:`repro.circuit.compiled.resolve_backend`.
 
     Returns
     -------
     DCResult
     """
-    assembler = MNAAssembler(circuit)
-    if assembler.size == 0:
+    nodes = circuit.nodes()
+    if not nodes and not circuit.voltage_sources:
         return DCResult(node_voltages={}, source_currents={})
-
-    guess = np.zeros(assembler.size)
-    # A supply-aware starting guess speeds up and stabilises CMOS circuits:
-    # start every node halfway to the largest DC source magnitude.
-    supply_levels = [abs(v.value(time)) for v in circuit.voltage_sources]
-    if supply_levels:
-        guess[: assembler.n_nodes] = 0.5 * max(supply_levels)
-
-    if resolve_backend(assembler.size, backend) == "sparse":
-        compiled = CompiledMNA(
-            circuit, dt=None, assembler=assembler, capacitors_open=True
-        )
-        solution = compiled.solve_step(
-            time,
-            guess,
-            ArrayState.zeros(circuit),
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-        )
-    else:
-        solution = newton_solve(
-            assembler,
-            time,
-            guess,
-            capacitors_open=True,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-        )
-
-    node_voltages = {
-        name: float(solution[assembler.node_index(name)]) for name in assembler.node_names
-    }
-    source_currents = {
-        source.name: float(solution[assembler.vsource_index(position)])
-        for position, source in enumerate(circuit.voltage_sources)
-    }
-    return DCResult(node_voltages=node_voltages, source_currents=source_currents)
+    solution = operating_points([circuit], time, max_iterations, tolerance)[0]
+    return DCResult(
+        node_voltages={name: float(solution[i]) for i, name in enumerate(nodes)},
+        source_currents={
+            source.name: float(solution[len(nodes) + position])
+            for position, source in enumerate(circuit.voltage_sources)
+        },
+    )

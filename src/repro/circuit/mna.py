@@ -9,14 +9,13 @@ point, so repeated solves converge to the nonlinear solution.
 
 This is the *reference* implementation: every stamp is written out
 explicitly, one Python statement per matrix entry, which makes it the
-ground truth the compiled sparse path
+ground truth the production solver
 (:class:`repro.circuit.compiled.CompiledMNA` -- topology compiled once,
-values refreshed per step, LU factorizations reused) is parity-tested
-against.  It is also the faster backend below
-:data:`~repro.circuit.compiled.SPARSE_SIZE_THRESHOLD` unknowns, where a
-dense LAPACK solve on a contiguous array beats any sparse setup, so
-:func:`repro.circuit.transient.transient_analysis` still routes small
-circuits (and :mod:`repro.circuit.dc` all one-shot DC solves) through it.
+values refreshed per step, stacked dense or sparse LU by size) is
+parity-tested against, through
+:func:`repro.circuit.transient.reference_transient_analysis`.  No
+production path calls it; the compiled solver reuses only its index
+bookkeeping (:meth:`MNAAssembler.node_index` and friends).
 """
 
 from __future__ import annotations

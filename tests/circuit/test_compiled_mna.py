@@ -1,9 +1,10 @@
-"""Compiled sparse MNA: structure, parity and backend-selection tests.
+"""Compiled MNA: structure, reference parity and factorization policy.
 
-The compiled path must be a drop-in replacement for the dense assembler:
-identical matrices/rhs for identical inputs, identical waveforms from
-``transient_analysis`` regardless of backend, and a well-defined size
-threshold with a test override.
+The production solver must reproduce the dense reference
+(:class:`MNAAssembler` + ``newton_solve``, driven by
+``reference_transient_analysis``): identical matrices and right-hand sides
+for identical inputs, and waveforms that are bitwise-identical below
+``SPARSE_SIZE_THRESHOLD`` unknowns and within 1e-9 at ``splu`` sizes.
 """
 
 import numpy as np
@@ -13,13 +14,12 @@ from repro.circuit import (
     Circuit,
     SPARSE_SIZE_THRESHOLD,
     Step,
-    resolve_backend,
-    solver_backend,
     transient_analysis,
 )
 from repro.circuit.compiled import ArrayState, CompiledMNA
 from repro.circuit.inverter import Inverter, add_supply
 from repro.circuit.mna import CompanionState, MNAAssembler
+from repro.circuit.transient import reference_transient_analysis
 from repro.circuit.rcline import add_rc_ladder
 from repro.circuit.technology import NODE_45NM
 from repro.core.line import DistributedRC
@@ -51,17 +51,35 @@ def _rlc_circuit() -> Circuit:
     return circuit
 
 
-def _inverter_line_circuit() -> Circuit:
+def _inverter_line_circuit(n_segments: int = 12) -> Circuit:
     circuit = Circuit("inverter line")
     add_supply(circuit, NODE_45NM)
     v_dd = NODE_45NM.supply_voltage
     circuit.add_voltage_source("vin", "in", "0", Step(0.0, v_dd, delay=2e-12, rise_time=4e-12))
     Inverter("drv", "in", "near", technology=NODE_45NM).add_to(circuit)
     ladder = DistributedRC(
-        total_resistance=1e4, total_capacitance=2e-14, contact_resistance=2e3, n_segments=12
+        total_resistance=1e4, total_capacitance=2e-14, contact_resistance=2e3, n_segments=n_segments
     )
     add_rc_ladder(circuit, ladder, "near", "far", name_prefix="dut")
     Inverter("rcv", "far", "out", technology=NODE_45NM).add_to(circuit)
+    return circuit
+
+
+def _large_inverter_line_circuit() -> Circuit:
+    return _inverter_line_circuit(n_segments=80)
+
+
+def _large_rc_ladder_circuit() -> Circuit:
+    return _rc_ladder_circuit(n_segments=80)
+
+
+def _resistor_chain(size: int) -> Circuit:
+    """A source driving a resistor chain: exactly ``size`` MNA unknowns."""
+    circuit = Circuit("chain")
+    circuit.add_voltage_source("vin", "n0", "0", 1.0)
+    for i in range(1, size - 1):
+        circuit.add_resistor(f"r{i}", f"n{i - 1}", f"n{i}", 1e3)
+    circuit.add_resistor("rload", f"n{size - 2}", "0", 1e3)
     return circuit
 
 
@@ -74,43 +92,55 @@ def _max_relative_error(a, b) -> float:
     ) / scale
 
 
+def _assert_bitwise(reference, production) -> None:
+    assert np.array_equal(reference.times, production.times)
+    assert reference.node_voltages.keys() == production.node_voltages.keys()
+    for node in reference.node_voltages:
+        assert np.array_equal(reference.voltage(node), production.voltage(node)), node
+    for source in reference.source_currents:
+        assert np.array_equal(reference.current(source), production.current(source)), source
+
+
+def _dense(matrix) -> np.ndarray:
+    return matrix.toarray() if hasattr(matrix, "toarray") else matrix[0]
+
+
 class TestBackendSelection:
+    """The factorization policy follows the system size, with no override."""
+
     def test_small_circuits_stay_dense(self):
-        assert resolve_backend(SPARSE_SIZE_THRESHOLD - 1) == "dense"
+        circuit = _resistor_chain(SPARSE_SIZE_THRESHOLD - 1)
+        assert MNAAssembler(circuit).size == SPARSE_SIZE_THRESHOLD - 1
+        assert not CompiledMNA(circuit, dt=1e-12).sparse
 
     def test_large_circuits_go_sparse(self):
-        assert resolve_backend(SPARSE_SIZE_THRESHOLD) == "sparse"
+        circuit = _resistor_chain(SPARSE_SIZE_THRESHOLD)
+        assert MNAAssembler(circuit).size == SPARSE_SIZE_THRESHOLD
+        assert CompiledMNA(circuit, dt=1e-12).sparse
 
-    def test_explicit_argument_wins(self):
-        assert resolve_backend(2, "sparse") == "sparse"
-        assert resolve_backend(10_000, "dense") == "dense"
+    def test_large_circuits_compile_one_at_a_time(self):
+        circuit = _resistor_chain(SPARSE_SIZE_THRESHOLD)
+        with pytest.raises(ValueError, match="one circuit at a time"):
+            CompiledMNA([circuit, _resistor_chain(SPARSE_SIZE_THRESHOLD)], dt=1e-12)
 
-    def test_override_context(self):
-        with solver_backend("sparse"):
-            assert resolve_backend(2) == "sparse"
-            with solver_backend("dense"):
-                assert resolve_backend(10_000) == "dense"
-            assert resolve_backend(2) == "sparse"
-        assert resolve_backend(2) == "dense"
-
-    def test_explicit_argument_beats_override(self):
-        with solver_backend("dense"):
-            assert resolve_backend(2, "sparse") == "sparse"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend(10, "magic")
-        with pytest.raises(ValueError):
-            with solver_backend("magic"):
-                pass  # pragma: no cover
+    def test_batch_needs_one_topology(self):
+        with pytest.raises(ValueError, match="one topology"):
+            CompiledMNA([_rc_ladder_circuit(4), _rc_ladder_circuit(5)], dt=1e-12)
 
 
 class TestCompiledAssembly:
-    """The compiled system must match the dense assembler entry for entry."""
+    """The compiled system must match the dense assembler bit for bit."""
 
     @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
     @pytest.mark.parametrize(
-        "builder", [_rc_ladder_circuit, _rlc_circuit, _inverter_line_circuit]
+        "builder",
+        [
+            _rc_ladder_circuit,
+            _rlc_circuit,
+            _inverter_line_circuit,
+            _large_rc_ladder_circuit,
+            _large_inverter_line_circuit,
+        ],
     )
     def test_matrix_and_rhs_match_dense(self, builder, method):
         circuit = builder()
@@ -124,13 +154,11 @@ class TestCompiledAssembly:
         dense_matrix, dense_rhs = assembler.assemble(
             3e-12, guess, state=state, dt=dt, method=method
         )
-        sparse_matrix, sparse_rhs = compiled.assemble(
-            3e-12, guess, ArrayState.from_companion(state, circuit)
+        matrix, rhs = compiled.assemble(
+            compiled.step_rhs(3e-12, ArrayState.from_companion(state, circuit)), guess[None]
         )
-        np.testing.assert_allclose(
-            sparse_matrix.toarray(), dense_matrix, rtol=1e-13, atol=1e-30
-        )
-        np.testing.assert_allclose(sparse_rhs, dense_rhs, rtol=1e-13, atol=1e-30)
+        assert np.array_equal(_dense(matrix), dense_matrix)
+        assert np.array_equal(rhs[0], dense_rhs)
 
     @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
     def test_update_state_matches_dense(self, method):
@@ -146,14 +174,7 @@ class TestCompiledAssembly:
         array_next = compiled.update_state(
             solution, ArrayState.from_companion(state, circuit)
         ).to_companion(circuit)
-        for name, value in dense_next.capacitor_voltages.items():
-            assert array_next.capacitor_voltages[name] == pytest.approx(value, rel=1e-13)
-        for name, value in dense_next.capacitor_currents.items():
-            assert array_next.capacitor_currents[name] == pytest.approx(value, rel=1e-13)
-        for name, value in dense_next.inductor_currents.items():
-            assert array_next.inductor_currents[name] == pytest.approx(value, rel=1e-13)
-        for name, value in dense_next.inductor_voltages.items():
-            assert array_next.inductor_voltages[name] == pytest.approx(value, rel=1e-13)
+        assert array_next == dense_next
 
     def test_validation(self):
         circuit = _rc_ladder_circuit(4)
@@ -167,40 +188,41 @@ class TestTransientParity:
     @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
     def test_linear_ladder_waveforms_match(self, method):
         circuit = _rc_ladder_circuit()
-        dense = transient_analysis(circuit, 1e-9, 4e-12, method=method, backend="dense")
-        sparse = transient_analysis(circuit, 1e-9, 4e-12, method=method, backend="sparse")
-        assert _max_relative_error(dense, sparse) < PARITY_RTOL
-        for source in ("vin",):
-            np.testing.assert_allclose(
-                dense.current(source), sparse.current(source), rtol=1e-9, atol=1e-15
-            )
+        reference = reference_transient_analysis(circuit, 1e-9, 4e-12, method=method)
+        production = transient_analysis(circuit, 1e-9, 4e-12, method=method)
+        _assert_bitwise(reference, production)
 
     def test_rlc_waveforms_match(self):
         circuit = _rlc_circuit()
-        dense = transient_analysis(circuit, 2e-10, 5e-13, backend="dense")
-        sparse = transient_analysis(circuit, 2e-10, 5e-13, backend="sparse")
-        assert _max_relative_error(dense, sparse) < PARITY_RTOL
+        reference = reference_transient_analysis(circuit, 2e-10, 5e-13)
+        _assert_bitwise(reference, transient_analysis(circuit, 2e-10, 5e-13))
 
     def test_nonlinear_waveforms_match(self):
         circuit = _inverter_line_circuit()
-        dense = transient_analysis(circuit, 3e-10, 1e-12, backend="dense")
-        sparse = transient_analysis(circuit, 3e-10, 1e-12, backend="sparse")
-        assert _max_relative_error(dense, sparse) < PARITY_RTOL
+        reference = reference_transient_analysis(circuit, 3e-10, 1e-12)
+        _assert_bitwise(reference, transient_analysis(circuit, 3e-10, 1e-12))
 
     def test_no_dc_start_honours_initial_conditions(self):
         circuit = Circuit("ic")
         circuit.add_voltage_source("vin", "a", "0", 1.0)
         circuit.add_resistor("r1", "a", "b", 1e3)
         circuit.add_capacitor("c1", "b", "0", 1e-12, initial_voltage=0.25)
-        dense = transient_analysis(circuit, 1e-9, 2e-12, use_dc_start=False, backend="dense")
-        sparse = transient_analysis(circuit, 1e-9, 2e-12, use_dc_start=False, backend="sparse")
-        assert _max_relative_error(dense, sparse) < PARITY_RTOL
-        assert sparse.voltage("b")[0] == pytest.approx(0.0)
+        reference = reference_transient_analysis(circuit, 1e-9, 2e-12, use_dc_start=False)
+        production = transient_analysis(circuit, 1e-9, 2e-12, use_dc_start=False)
+        _assert_bitwise(reference, production)
+        assert production.voltage("b")[0] == pytest.approx(0.0)
 
     def test_sparse_default_for_large_circuit(self):
-        """Auto-selection must route big circuits through the sparse path."""
+        """Large circuits take the splu policy and match the reference to 1e-9."""
         circuit = _rc_ladder_circuit(n_segments=80)
         assert MNAAssembler(circuit).size >= SPARSE_SIZE_THRESHOLD
-        auto = transient_analysis(circuit, 4e-10, 4e-12)
-        forced = transient_analysis(circuit, 4e-10, 4e-12, backend="sparse")
-        assert _max_relative_error(auto, forced) == 0.0
+        reference = reference_transient_analysis(circuit, 4e-10, 4e-12)
+        production = transient_analysis(circuit, 4e-10, 4e-12)
+        assert _max_relative_error(reference, production) < PARITY_RTOL
+
+    def test_large_nonlinear_waveforms_match(self):
+        circuit = _large_inverter_line_circuit()
+        assert MNAAssembler(circuit).size >= SPARSE_SIZE_THRESHOLD
+        reference = reference_transient_analysis(circuit, 3e-10, 1e-12)
+        production = transient_analysis(circuit, 3e-10, 1e-12)
+        assert _max_relative_error(reference, production) < PARITY_RTOL

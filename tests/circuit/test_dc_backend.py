@@ -1,4 +1,10 @@
-"""DC operating point through the compiled sparse path (backend routing)."""
+"""DC operating point on the compiled solver, against the dense reference.
+
+The reference operating point is the first sample of
+``reference_transient_analysis`` (its DC start runs the dense
+``newton_solve``).  Below ``SPARSE_SIZE_THRESHOLD`` unknowns production must
+match it bit for bit, at ``splu`` sizes to 1e-9.
+"""
 
 import numpy as np
 import pytest
@@ -8,12 +14,14 @@ from repro.circuit import (
     Circuit,
     CompiledMNA,
     dc_operating_point,
-    solver_backend,
 )
+from repro.circuit import compiled as compiled_module
 from repro.circuit.compiled import ArrayState
+from repro.circuit.dc import DCResult
 from repro.circuit.inverter import Inverter, add_supply
 from repro.circuit.mna import MNAAssembler
 from repro.circuit.rcline import add_rc_ladder
+from repro.circuit.transient import reference_transient_analysis
 from repro.core.line import DistributedRC
 
 
@@ -49,6 +57,22 @@ def _nonlinear_line(n_segments: int = 100) -> Circuit:
     return circuit
 
 
+def _reference_dc(circuit: Circuit) -> DCResult:
+    start = reference_transient_analysis(circuit, 1e-12, 1e-12)
+    return DCResult(
+        node_voltages={name: float(v[0]) for name, v in start.node_voltages.items()},
+        source_currents={name: float(i[0]) for name, i in start.source_currents.items()},
+    )
+
+
+def _divider() -> Circuit:
+    small = Circuit("divider")
+    small.add_voltage_source("v1", "a", "0", 2.0)
+    small.add_resistor("r1", "a", "b", 1.0e3)
+    small.add_resistor("r2", "b", "0", 1.0e3)
+    return small
+
+
 def _worst_delta(a, b) -> float:
     node = max(abs(a.node_voltages[n] - b.node_voltages[n]) for n in a.node_voltages)
     current = max(abs(a.source_currents[s] - b.source_currents[s]) for s in a.source_currents)
@@ -59,52 +83,38 @@ class TestDCParity:
     def test_large_linear_ladder(self):
         circuit = _large_ladder()
         assert MNAAssembler(circuit).size >= SPARSE_SIZE_THRESHOLD
-        dense = dc_operating_point(circuit, backend="dense")
-        sparse = dc_operating_point(circuit, backend="sparse")
-        assert _worst_delta(dense, sparse) <= 1.0e-9
+        production = dc_operating_point(circuit)
+        assert _worst_delta(_reference_dc(circuit), production) <= 1.0e-9
         # Sanity: the ladder actually divides the supply.
-        assert 0.9 < sparse.voltage("far") < 1.0
+        assert 0.9 < production.voltage("far") < 1.0
 
     def test_large_nonlinear_line(self):
         circuit = _nonlinear_line()
         assert MNAAssembler(circuit).size >= SPARSE_SIZE_THRESHOLD
-        dense = dc_operating_point(circuit, backend="dense")
-        sparse = dc_operating_point(circuit, backend="sparse")
-        assert _worst_delta(dense, sparse) <= 1.0e-9
+        production = dc_operating_point(circuit)
+        assert _worst_delta(_reference_dc(circuit), production) <= 1.0e-9
 
     def test_auto_routing_follows_threshold(self):
-        """Auto selection equals the explicit backend on both sides of the
-        threshold (small circuits keep dense, large ones go sparse)."""
+        """Large circuits factorize through splu (1e-9 of the reference),
+        small ones through dense LAPACK (bitwise equal to it)."""
         large = _large_ladder()
-        auto = dc_operating_point(large)
-        sparse = dc_operating_point(large, backend="sparse")
-        assert _worst_delta(auto, sparse) == 0.0
+        assert CompiledMNA(large, dt=None, capacitors_open=True).sparse
+        assert _worst_delta(_reference_dc(large), dc_operating_point(large)) <= 1.0e-9
 
-        small = Circuit("divider")
-        small.add_voltage_source("v1", "a", "0", 2.0)
-        small.add_resistor("r1", "a", "b", 1.0e3)
-        small.add_resistor("r2", "b", "0", 1.0e3)
+        small = _divider()
         assert MNAAssembler(small).size < SPARSE_SIZE_THRESHOLD
-        auto_small = dc_operating_point(small)
-        dense_small = dc_operating_point(small, backend="dense")
-        assert _worst_delta(auto_small, dense_small) == 0.0
-        assert auto_small.voltage("b") == pytest.approx(1.0, rel=1e-9)
+        assert not CompiledMNA(small, dt=None, capacitors_open=True).sparse
+        assert dc_operating_point(small) == _reference_dc(small)
+        small_nonlinear = _nonlinear_line(n_segments=10)
+        assert MNAAssembler(small_nonlinear).size < SPARSE_SIZE_THRESHOLD
+        assert dc_operating_point(small_nonlinear) == _reference_dc(small_nonlinear)
+        assert dc_operating_point(small).voltage("b") == pytest.approx(1.0, rel=1e-9)
 
-    def test_solver_backend_override_applies(self):
-        """The global override used by parity harnesses reaches the DC solve."""
-        circuit = _large_ladder()
-        with solver_backend("dense"):
-            dense = dc_operating_point(circuit)
-        with solver_backend("sparse"):
-            sparse = dc_operating_point(circuit)
-        assert _worst_delta(dense, sparse) <= 1.0e-9
-
-    def test_small_circuit_explicit_sparse_works(self):
-        small = Circuit("divider")
-        small.add_voltage_source("v1", "a", "0", 2.0)
-        small.add_resistor("r1", "a", "b", 1.0e3)
-        small.add_resistor("r2", "b", "0", 1.0e3)
-        sparse = dc_operating_point(small, backend="sparse")
+    def test_small_circuit_explicit_sparse_works(self, monkeypatch):
+        monkeypatch.setattr(compiled_module, "SPARSE_SIZE_THRESHOLD", 0)
+        small = _divider()
+        assert CompiledMNA(small, dt=None, capacitors_open=True).sparse
+        sparse = dc_operating_point(small)
         assert sparse.voltage("b") == pytest.approx(1.0, rel=1e-9)
 
 
@@ -129,7 +139,6 @@ class TestDCCompiledSystem:
         circuit.add_resistor("r1", "a", "b", 1.0e3)
         circuit.add_inductor("l1", "b", "c", 1.0e-9)
         circuit.add_resistor("r2", "c", "0", 1.0e3)
-        dense = dc_operating_point(circuit, backend="dense")
-        sparse = dc_operating_point(circuit, backend="sparse")
-        assert _worst_delta(dense, sparse) <= 1.0e-9
-        assert sparse.voltage("b") == pytest.approx(sparse.voltage("c"), abs=1e-6)
+        production = dc_operating_point(circuit)
+        assert production == _reference_dc(circuit)
+        assert production.voltage("b") == pytest.approx(production.voltage("c"), abs=1e-6)

@@ -6,13 +6,15 @@ step converges, never *where* it converges to: its fixed point satisfies
 ``A(x) x = b(x)`` exactly.  These tests pin that contract against the dense
 reference solver (:func:`repro.circuit.mna.newton_solve`), exercise the
 refresh triggers on a pathologically conditioned switching circuit, and
-assert the factorization economics the mode exists for.
+assert the factorization economics the mode exists for.  The policy applies
+to the ``splu`` factorization only, so every circuit here has at least
+``SPARSE_SIZE_THRESHOLD`` unknowns.
 """
 
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit, Step, transient_analysis
+from repro.circuit import SPARSE_SIZE_THRESHOLD, Circuit, Step, transient_analysis
 from repro.circuit.compiled import (
     ArrayState,
     CompiledMNA,
@@ -31,7 +33,7 @@ PARITY_RTOL = 1.0e-9
 FREEZE = SolverOptions(newton="freeze")
 
 
-def _inverter_line_circuit(n_segments: int = 12, contact_resistance: float = 1e-3) -> Circuit:
+def _inverter_line_circuit(n_segments: int = 64, contact_resistance: float = 1e-3) -> Circuit:
     """Inverter -> RC ladder -> inverter; the nonlinear Newton workload.
 
     The default contact resistance of 1 milliohm next to a 20 kiloohm ladder
@@ -63,6 +65,7 @@ def _run_frozen_against_dense(circuit: Circuit, options: SolverOptions, n_steps:
     lockstep; returns (compiled system, worst absolute voltage difference)."""
     dt = 1e-12
     compiled = CompiledMNA(circuit, dt=dt)
+    assert compiled.sparse
     assembler = MNAAssembler(circuit)
     state = ArrayState.from_companion(CompanionState.initial(circuit), circuit)
     dense_state = CompanionState.initial(circuit)
@@ -110,8 +113,8 @@ class TestFreezeParity:
     def test_transient_waveforms_match_exact(self):
         """Whole-transient parity through the public entry point.
 
-        Same sparse backend with and without freezing, so any difference is
-        attributable to the reuse policy alone (the dense cross-backend
+        Same splu factorization with and without freezing, so any difference
+        is attributable to the reuse policy alone (the dense reference
         anchor is the lockstep test above).  Each step converges to the
         shared 1e-9 Newton tolerance, and the companion state integrates
         that slack over 300 steps, so the open-loop waveform bound is a
@@ -119,10 +122,8 @@ class TestFreezeParity:
         contract is per-step and lives in the lockstep tests.
         """
         circuit = _inverter_line_circuit()
-        exact = transient_analysis(circuit, 3e-10, 1e-12, backend="sparse")
-        frozen = transient_analysis(
-            circuit, 3e-10, 1e-12, backend="sparse", solver_opts=FREEZE
-        )
+        exact = transient_analysis(circuit, 3e-10, 1e-12)
+        frozen = transient_analysis(circuit, 3e-10, 1e-12, solver_opts=FREEZE)
         scale = max(np.max(np.abs(w)) for w in exact.node_voltages.values())
         worst = max(
             float(np.max(np.abs(exact.voltage(node) - frozen.voltage(node))))
@@ -156,10 +157,13 @@ class TestSolverOptions:
         """A linear circuit has one factorization total, whatever the mode."""
         circuit = Circuit("rc")
         circuit.add_voltage_source("vin", "a", "0", Step(0.0, 1.0, rise_time=1e-12))
-        circuit.add_resistor("r1", "a", "b", 1e3)
-        circuit.add_capacitor("c1", "b", "0", 1e-12)
+        ladder = DistributedRC(
+            total_resistance=2e4, total_capacitance=5e-14, n_segments=SPARSE_SIZE_THRESHOLD
+        )
+        add_rc_ladder(circuit, ladder, "a", "b", name_prefix="line")
         dt = 1e-12
         compiled = CompiledMNA(circuit, dt=dt)
+        assert compiled.sparse
         state = ArrayState.from_companion(CompanionState.initial(circuit), circuit)
         solution = np.zeros(compiled.size)
         for step in range(1, 50):
@@ -167,3 +171,12 @@ class TestSolverOptions:
             state = compiled.update_state(solution, state)
         assert compiled.stats.factorizations == 1
         assert compiled.stats.refreshes == 0
+
+    def test_small_circuits_ignore_freeze(self):
+        """Below the threshold the dense policy always runs exact Newton."""
+        circuit = _inverter_line_circuit(n_segments=12)
+        assert not CompiledMNA(circuit, dt=1e-12).sparse
+        exact = transient_analysis(circuit, 1e-10, 1e-12)
+        frozen = transient_analysis(circuit, 1e-10, 1e-12, solver_opts=FREEZE)
+        for node in exact.node_voltages:
+            assert np.array_equal(exact.voltage(node), frozen.voltage(node)), node

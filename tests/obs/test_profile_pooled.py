@@ -1,10 +1,11 @@
 """Profile blocks for pooled executors: solve_s accrues, dispatch_s is sane.
 
-Regression coverage for two pooled-profiling defects: the profile flag was
+Regression coverage for three profiling defects: the profile flag was
 never forwarded into pool workers (so every pooled point reported
-``solve_s = 0``), and ``dispatch_s`` ignored the result-retrieval wait, so
+``solve_s = 0``), ``dispatch_s`` ignored the result-retrieval wait, so
 ``wall_s`` could exceed ``solve_s + dispatch_s`` by the whole transfer
-time.
+time, and paper-size circuits solved outside the metered compiled solver
+(so a Fig. 12 sweep reported ``solve_s = 0``).
 """
 
 import pytest
@@ -21,11 +22,7 @@ def _rc_transient(tau_scale: float = 1.0) -> list[dict]:
     )
     circuit.add_resistor("r", "in", "out", 1e3 * tau_scale)
     circuit.add_capacitor("c", "out", "0", 1e-13)
-    # backend="sparse" forces the compiled solver even for this tiny
-    # system -- profiled_solves only meters the compiled step path.
-    result = transient_analysis(
-        circuit, stop_time=2e-10, time_step=1e-12, backend="sparse"
-    )
+    result = transient_analysis(circuit, stop_time=2e-10, time_step=1e-12)
     return [{"tau_scale": tau_scale, "v_out": result.final_voltage("out")}]
 
 
@@ -34,7 +31,7 @@ def _experiment() -> Experiment:
         name="adhoc_profiled_rc",
         fn=_rc_transient,
         params=(ParamSpec("tau_scale", "float", 1.0, "R multiplier"),),
-        description="tiny compiled-backend transient for profiling tests",
+        description="tiny transient for profiling tests",
     )
 
 
@@ -66,3 +63,15 @@ class TestPooledProfile:
         with Engine(executor="thread", max_workers=2, profile=True) as engine:
             profiled = engine.sweep(_experiment(), SPEC, use_cache=False)
         assert profiled.content_hash == plain.content_hash
+
+
+def test_paper_size_fig12_point_reports_solver_time():
+    """A Fig. 12 sweep at the paper's 20-segment lines meters its solves."""
+    spec = SweepSpec.grid(contact_resistance=[100e3, 250e3])
+    base = {"diameters_nm": (10.0,), "lengths_um": (50.0,), "channel_counts": (2.0, 6.0)}
+    with Engine(profile=True) as engine:
+        result = engine.sweep("fig12", spec, base_params=base, use_cache=False)
+    aggregate = result.meta["profile"]
+    assert aggregate["points_profiled"] == len(spec)
+    assert aggregate["solve_s"] > 0.0
+    assert aggregate["wall_s"] >= aggregate["solve_s"]
