@@ -87,12 +87,11 @@ class Fig8cResult:
 
 def fig8c_result(n_k: int = 301, temperature: float = 300.0) -> Fig8cResult:
     """Regenerate the doped SWCNT(7,7) experiment of Fig. 8b/c."""
-    tube = Chirality(7, 7)
-    bands = compute_band_structure(tube, n_k=n_k)
+    bands = compute_band_structure(Chirality(7, 7), n_k=n_k)
 
     pristine = ballistic_conductance(bands, temperature=temperature)
     target = PAPER_REFERENCE["doped_swcnt77_conductance_ms"] * 1e-3
-    shift = fermi_shift_for_target_conductance(tube, target, temperature=temperature, n_k=n_k)
+    shift = fermi_shift_for_target_conductance(bands, target, temperature=temperature)
     doped = ballistic_conductance(bands, temperature=temperature, fermi_level_ev=shift)
 
     energies, transmission = transmission_function(bands, n_points=601)

@@ -94,7 +94,7 @@ def channels_after_doping(
 
 
 def fermi_shift_for_target_conductance(
-    chirality: Chirality,
+    tube: Chirality | BandStructure,
     target_conductance_s: float,
     p_type: bool = True,
     temperature: float = ROOM_TEMPERATURE,
@@ -110,8 +110,9 @@ def fermi_shift_for_target_conductance(
 
     Parameters
     ----------
-    chirality:
-        Tube chirality.
+    tube:
+        Either a :class:`Chirality` (the band structure is computed on the
+        fly) or a pre-computed :class:`BandStructure`.
     target_conductance_s:
         Target conductance in siemens (e.g. ``0.387e-3`` for the paper's doped
         SWCNT(7,7)).
@@ -122,7 +123,7 @@ def fermi_shift_for_target_conductance(
     max_shift_ev:
         Maximum shift magnitude explored.
     n_k:
-        k-point count for the band structure.
+        k-point count when a band structure has to be computed.
     tolerance_s:
         Acceptable conductance shortfall in siemens.
 
@@ -131,7 +132,7 @@ def fermi_shift_for_target_conductance(
     ValueError
         If the target cannot be reached within ``max_shift_ev``.
     """
-    bands = compute_band_structure(chirality, n_k=n_k)
+    bands = tube if isinstance(tube, BandStructure) else compute_band_structure(tube, n_k=n_k)
     sign = -1.0 if p_type else 1.0
 
     def conductance_at(shift_magnitude: float) -> float:
@@ -163,7 +164,7 @@ def fermi_shift_for_target_conductance(
 
     raise ValueError(
         f"target conductance {target_conductance_s:.3e} S not reachable within "
-        f"a {max_shift_ev} eV Fermi shift for tube {chirality}"
+        f"a {max_shift_ev} eV Fermi shift for tube {bands.chirality}"
     )
 
 

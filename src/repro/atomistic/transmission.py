@@ -20,19 +20,18 @@ def _crossings_per_energy(energies: np.ndarray, energy: np.ndarray) -> np.ndarra
 
     ``energies`` has shape ``(n_bands, n_k)``; ``energy`` is 1-D.  For every
     probe energy the number of sign changes of ``E_band(k) - E`` along ``k``
-    is accumulated over all bands.  Each pair of crossings corresponds to one
-    right-moving (and one left-moving) mode, so the channel count is half the
-    crossing count.
+    is accumulated over all bands, an exact hit counting as positive so a
+    touching extremum is not a double crossing.  Under that rule the segment
+    between k-points ``i`` and ``i + 1`` crosses ``E`` exactly when
+    ``min(b_i, b_i+1) < E <= max(b_i, b_i+1)``, so the count is the number of
+    segment minima below ``E`` minus the number of segment maxima below ``E``:
+    two searches in the sorted segment edges, with no per-band loop.  Each
+    pair of crossings corresponds to one right-moving (and one left-moving)
+    mode, so the channel count is half the crossing count.
     """
-    counts = np.zeros(energy.shape[0], dtype=int)
-    for band in energies:
-        # sign of (E_band(k) - E) for all probe energies at once: (n_e, n_k)
-        signs = np.sign(band[None, :] - energy[:, None])
-        # Treat exact hits as positive so a touching extremum is not counted
-        # as a double crossing.
-        signs[signs == 0] = 1
-        counts += (np.diff(signs, axis=1) != 0).sum(axis=1)
-    return counts
+    lower = np.sort(np.minimum(energies[:, :-1], energies[:, 1:]), axis=None)
+    upper = np.sort(np.maximum(energies[:, :-1], energies[:, 1:]), axis=None)
+    return np.searchsorted(lower, energy, "left") - np.searchsorted(upper, energy, "left")
 
 
 def channels_at_energy(
@@ -45,6 +44,8 @@ def channels_at_energy(
     exactly on a band-touching point (e.g. the Fermi point of an armchair
     tube) are evaluated a hair above and below and the larger count is used,
     so metallic tubes correctly report two channels at their Fermi level.
+    Both probes are counted in one pass over the sorted band-segment edges
+    (see :func:`_crossings_per_energy`).
 
     Parameters
     ----------
@@ -64,8 +65,8 @@ def channels_at_energy(
     energy = np.atleast_1d(np.asarray(energy_ev, dtype=float)).ravel()
     bands = band_structure.energies
 
-    upper = _crossings_per_energy(bands, energy + degeneracy_tol_ev)
-    lower = _crossings_per_energy(bands, energy - degeneracy_tol_ev)
+    probes = np.concatenate([energy + degeneracy_tol_ev, energy - degeneracy_tol_ev])
+    upper, lower = np.split(_crossings_per_energy(bands, probes), 2)
     counts = np.maximum(upper, lower) // 2
 
     if np.isscalar(energy_ev):

@@ -1,8 +1,9 @@
 """Multi-conductor capacitance extraction (paper Fig. 10a).
 
 For every conductor ``j`` the Laplace problem of Eq. (2) is solved with that
-conductor at 1 V and all others grounded; the charge induced on conductor
-``i`` then gives the Maxwell capacitance matrix entry ``C[i, j]``.  The
+conductor at 1 V and all others grounded (all ``j`` in one batched solve);
+the charge induced on conductor ``i`` then gives the Maxwell capacitance
+matrix entry ``C[i, j]``.  The
 off-diagonal entries are the (negative) coupling capacitances responsible for
 the crosstalk the paper's TCAD figure highlights.
 """
@@ -91,10 +92,11 @@ def capacitance_matrix(grid, conductors: list[int] | None = None) -> Capacitance
     n = len(ids)
     matrix = np.zeros((n, n))
     # The dielectric domain excludes conductor interiors (they are Dirichlet
-    # regions); unidentified conductors (-2) are excluded entirely.
-    for j, active in enumerate(ids):
-        boundary_conditions = {conductor: (1.0 if conductor == active else 0.0) for conductor in ids}
-        solution = solve_laplace(grid, boundary_conditions, coefficient="permittivity")
+    # regions); unidentified conductors (-2) are excluded entirely.  The unit
+    # excitations share one operator, so they are solved in one call.
+    excitations = [{conductor: float(conductor == active) for conductor in ids} for active in ids]
+    solutions = solve_laplace(grid, excitations, coefficient="permittivity")
+    for j, solution in enumerate(solutions):
         for i, probe in enumerate(ids):
             flux = solution.flux_into_region(grid.conductor_mask(probe))
             charge = VACUUM_PERMITTIVITY * flux

@@ -128,11 +128,11 @@ class LaplaceSolution:
 
 def solve_laplace(
     grid,
-    dirichlet_values: dict[int, float],
+    dirichlet_values: dict[int, float] | list[dict[int, float]],
     coefficient: str = "permittivity",
     domain_mask: np.ndarray | None = None,
     extra_dirichlet: list[tuple[np.ndarray, float]] | None = None,
-) -> LaplaceSolution:
+) -> LaplaceSolution | list[LaplaceSolution]:
     """Solve ``div(c grad psi) = 0`` on a structured grid.
 
     Parameters
@@ -141,7 +141,11 @@ def solve_laplace(
         A :class:`~repro.tcad.grid.StructuredGrid`.
     dirichlet_values:
         Mapping from conductor identifier to fixed potential in volt.  Every
-        node of those conductors is held at that potential.
+        node of those conductors is held at that potential.  A list of such
+        mappings solves one problem per mapping: they must name the same
+        conductors (else ``ValueError``), so all share one operator, which is
+        assembled once and solved for all right-hand sides in one
+        ``spsolve`` call (bitwise equal to solving them one at a time).
     coefficient:
         ``"permittivity"`` (capacitance extraction, Eq. 2) or
         ``"conductivity"`` (resistance extraction, Eq. 3).
@@ -155,7 +159,7 @@ def solve_laplace(
 
     Returns
     -------
-    LaplaceSolution
+    LaplaceSolution, or a list of them (one per mapping) for a list input.
     """
     if coefficient == "permittivity":
         coeff = grid.permittivity.astype(float)
@@ -166,14 +170,20 @@ def solve_laplace(
 
     domain = np.ones(grid.shape, dtype=bool) if domain_mask is None else domain_mask.astype(bool)
 
+    single = isinstance(dirichlet_values, dict)
+    mappings = [dirichlet_values] if single else list(dirichlet_values)
+    if not mappings or any(mapping.keys() != mappings[0].keys() for mapping in mappings):
+        raise ValueError("dirichlet_values must be one mapping or mappings over the same conductors")
+
+    # Trailing axis: one column of Dirichlet values per mapping.
     dirichlet_mask = np.zeros(grid.shape, dtype=bool)
-    dirichlet_value = np.zeros(grid.shape, dtype=float)
-    for conductor, value in dirichlet_values.items():
+    dirichlet_value = np.zeros(grid.shape + (len(mappings),), dtype=float)
+    for conductor in mappings[0]:
         mask = grid.conductor_mask(conductor)
         if not mask.any():
             raise ValueError(f"conductor {conductor} has no nodes in the grid")
         dirichlet_mask |= mask
-        dirichlet_value[mask] = value
+        dirichlet_value[mask] = [mapping[conductor] for mapping in mappings]
     for mask, value in extra_dirichlet or []:
         mask = mask.astype(bool)
         dirichlet_mask |= mask
@@ -182,10 +192,6 @@ def solve_laplace(
     dirichlet_mask &= domain
     free_mask = domain & ~dirichlet_mask
     n_free = int(free_mask.sum())
-    if n_free == 0:
-        potential = np.full(grid.shape, np.nan)
-        potential[dirichlet_mask] = dirichlet_value[dirichlet_mask]
-        return LaplaceSolution(grid, potential, coeff, dirichlet_mask, domain)
 
     free_index = -np.ones(grid.shape, dtype=int)
     free_index[free_mask] = np.arange(n_free)
@@ -194,7 +200,7 @@ def solve_laplace(
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
-    rhs = np.zeros(n_free)
+    rhs = np.zeros((n_free, len(mappings)))
     diagonal = np.zeros(n_free)
 
     for axis in range(grid.ndim):
@@ -231,7 +237,7 @@ def solve_laplace(
 
             neighbour_fixed = ~neighbour_free
             if neighbour_fixed.any():
-                contribution = weight[neighbour_fixed] * dirichlet_value[nb_idx][neighbour_fixed]
+                contribution = weight[neighbour_fixed, None] * dirichlet_value[nb_idx][neighbour_fixed]
                 np.add.at(rhs, node_ids[neighbour_fixed], contribution)
 
     rows.append(np.arange(n_free))
@@ -243,10 +249,12 @@ def solve_laplace(
         shape=(n_free, n_free),
     ).tocsr()
 
-    solution_free = spsolve(matrix, rhs)
+    solution_free = spsolve(matrix, rhs).reshape(n_free, -1) if n_free else rhs
 
-    potential = np.full(grid.shape, np.nan)
-    potential[dirichlet_mask] = dirichlet_value[dirichlet_mask]
-    potential[free_mask] = solution_free
-
-    return LaplaceSolution(grid, potential, coeff, dirichlet_mask, domain)
+    solutions = []
+    for k in range(len(mappings)):
+        potential = np.full(grid.shape, np.nan)
+        potential[dirichlet_mask] = dirichlet_value[dirichlet_mask, k]
+        potential[free_mask] = solution_free[:, k]
+        solutions.append(LaplaceSolution(grid, potential, coeff, dirichlet_mask, domain))
+    return solutions[0] if single else solutions

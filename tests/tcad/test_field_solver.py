@@ -16,6 +16,7 @@ from repro.tcad import (
     solve_laplace,
     via_structure,
 )
+from repro.tcad.laplace import LaplaceSolution
 from repro.tcad.materials import COPPER, LOW_K_DIELECTRIC, VACUUM
 from repro.tcad.resistance import hotspot_factor
 
@@ -62,6 +63,94 @@ class TestLaplaceSolver:
         field = solution.field_magnitude()
         interior = field[5:-5, 5:-5]
         assert np.allclose(interior, 1.0 / width, rtol=0.05)
+
+
+def assert_same_solution(batched, single):
+    assert np.array_equal(batched.potential, single.potential, equal_nan=True)
+    assert np.array_equal(batched.dirichlet_mask, single.dirichlet_mask)
+    assert np.array_equal(batched.domain_mask, single.domain_mask)
+
+
+class TestBatchedLaplace:
+    """A list of mappings is K solves sharing one assembly and one spsolve."""
+
+    def test_2d_parallel_lines_bitwise(self):
+        grid = parallel_lines_structure(n_lines=3, resolution=3).grid
+        ids = grid.conductor_ids()
+        mappings = [{c: float(c == active) for c in ids} for active in ids]
+        mappings.append({c: 0.25 * c - 0.1 for c in ids})
+        batched = solve_laplace(grid, mappings)
+        assert len(batched) == len(mappings)
+        for solution, mapping in zip(batched, mappings):
+            assert_same_solution(solution, solve_laplace(grid, mapping))
+
+    def test_3d_m1_m2_crossing_bitwise(self):
+        grid = m1_m2_crossing_structure(resolution=2).grid
+        ids = grid.conductor_ids()
+        mappings = [{c: float(c == active) for c in ids} for active in ids]
+        for solution, mapping in zip(solve_laplace(grid, mappings), mappings):
+            assert_same_solution(solution, solve_laplace(grid, mapping))
+
+    def test_via_resistance_problem_bitwise(self):
+        grid = via_structure().grid
+        domain = grid.conductor_mask(1)
+        z = np.nonzero(domain.any(axis=(0, 1)))[0]
+        low = domain & (np.arange(grid.shape[2]) == z.min())
+        high = domain & (np.arange(grid.shape[2]) == z.max())
+        args = ("conductivity", domain, [(low, 0.0), (high, 1.0)])
+        single = solve_laplace(grid, {}, *args)
+        batched = solve_laplace(grid, [{}, {}], *args)
+        for solution in batched:
+            assert_same_solution(solution, single)
+
+    def test_domain_mask_and_extra_dirichlet_with_differing_values(self):
+        grid = parallel_lines_structure(n_lines=2, resolution=3).grid
+        domain = np.ones(grid.shape, dtype=bool)
+        domain[:, -2:] = False
+        top = np.zeros(grid.shape, dtype=bool)
+        top[:, -3] = True
+        ids = grid.conductor_ids()
+        mappings = [{c: float(c == active) for c in ids} for active in ids]
+        args = ("permittivity", domain, [(top, 0.3)])
+        for solution, mapping in zip(solve_laplace(grid, mappings, *args), mappings):
+            assert_same_solution(solution, solve_laplace(grid, mapping, *args))
+
+    def test_single_mapping_returns_a_solution_and_list_of_one_a_list(self):
+        grid, _ = parallel_plate_grid(n_nodes=11)
+        single = solve_laplace(grid, {0: 0.0, 1: 1.0})
+        (batched,) = solve_laplace(grid, [{0: 0.0, 1: 1.0}])
+        assert isinstance(single, LaplaceSolution)
+        assert_same_solution(batched, single)
+
+    def test_all_dirichlet_grid_needs_no_solve(self):
+        grid = StructuredGrid((3, 3), (1e-9, 1e-9))
+        grid.fill_box(COPPER, (0.0, 0.0), (2e-9, 2e-9), conductor=0)
+        first, second = solve_laplace(grid, [{0: 1.0}, {0: 2.0}])
+        assert np.all(first.potential == 1.0) and np.all(second.potential == 2.0)
+
+    def test_different_conductor_sets_raise(self):
+        grid, _ = parallel_plate_grid(n_nodes=11)
+        with pytest.raises(ValueError):
+            solve_laplace(grid, [{0: 0.0, 1: 1.0}, {1: 1.0}])
+
+    def test_empty_list_raises(self):
+        grid, _ = parallel_plate_grid(n_nodes=11)
+        with pytest.raises(ValueError):
+            solve_laplace(grid, [])
+
+    def test_capacitance_matrix_makes_one_solve(self, monkeypatch):
+        import repro.tcad.capacitance as capacitance_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_laplace(*args, **kwargs)
+
+        monkeypatch.setattr(capacitance_module, "solve_laplace", counting)
+        structure = parallel_lines_structure(n_lines=2, resolution=3)
+        capacitance_matrix(structure.grid)
+        assert len(calls) == 1
 
 
 class TestCapacitance:
