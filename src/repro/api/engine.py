@@ -23,9 +23,15 @@ aborts the whole fan-out: the remaining points still execute, completed
 points stay cached, and ``sweep`` raises :class:`SweepError` carrying the
 partial :class:`ResultSet`.
 
+``run``, ``iter_sweep`` and every upstream stage share one memoised
+invocation path, :meth:`Engine._stage`: look the invocation up in the
+call's memo and then in the store, execute what is left through the
+configured executor, publish and memoise.  A ``run`` is a stage of one
+invocation, executed inline.
+
 Composite experiments (a non-empty ``consumes`` declaration, see
 :mod:`repro.api.study`) execute as *staged pipelines*: the engine first runs
-the distinct upstream invocations the sweep needs (deduplicated through the
+the distinct upstream invocations the stage needs (deduplicated through the
 parameter bindings, fanned out through the same executor), then injects the
 upstream ResultSets into the downstream calls.  ``run_study`` executes a
 registered :class:`~repro.api.study.Study` the same way.
@@ -58,15 +64,11 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
-from repro.api.experiment import (
-    Consumes,
-    Experiment,
-    ensure_registered,
-    get_experiment,
-)
+from repro.api.experiment import Experiment, ensure_registered, get_experiment
 from repro.api.results import ResultSet
 from repro.api.sweep import SweepSpec
 from repro.obs import metrics
@@ -111,15 +113,41 @@ def cache_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-# One executed sweep point before tagging: (records, error message, wall
-# time, profile block or None).  ``records`` is None exactly when ``error``
-# is set; capturing the error as a string keeps the tuple picklable across
-# process-pool boundaries.  The profile block (``profile=True`` engines
-# only) carries the point's ``wall_s`` / ``solve_s`` / ``dispatch_s`` split.
-_Outcome = tuple[list[dict[str, Any]] | None, str | None, float, dict[str, float] | None]
+# A failed invocation's error: the exception itself when it ran in this
+# process (so ``run`` re-raises it unchanged), its ``"Type: message"`` text
+# when it ran in a process-pool worker (exceptions need not pickle).
+_Error = BaseException | str
+
+# One executed invocation: (records, error, wall time, profile block or
+# None).  ``records`` is None exactly when ``error`` is set.  The profile
+# block (``profile=True`` engines only) carries the invocation's
+# ``wall_s`` / ``solve_s`` / ``dispatch_s`` split.
+_Outcome = tuple[list[dict[str, Any]] | None, _Error | None, float, dict[str, float] | None]
 
 # One executable unit: (resolved params, injected upstream artifacts).
 _Task = tuple[dict[str, Any], dict[str, Any]]
+
+# An in-run memo: invocation digest -> its ResultSet or its failure.
+_Memo = dict[str, "ResultSet | _Error"]
+
+
+def _error_text(error: _Error) -> str:
+    """The ``"ExceptionType: message"`` text a failure is reported with."""
+    return error if isinstance(error, str) else f"{type(error).__name__}: {error}"
+
+
+def _as_exception(error: _Error) -> BaseException:
+    """The exception to raise for a failure (text becomes :class:`UpstreamFailure`)."""
+    return error if isinstance(error, BaseException) else UpstreamFailure(error)
+
+
+def _solve_profile(profile: bool) -> Any:
+    """``profiled_solves()`` when profiling, else a no-op yielding None."""
+    if not profile:
+        return nullcontext()
+    from repro.circuit.compiled import profiled_solves
+
+    return profiled_solves()
 
 
 def upstream_meta(
@@ -139,51 +167,40 @@ def upstream_meta(
 
 
 def _run_outcomes(
-    run_with_inputs: Callable[..., list[dict[str, Any]]],
+    experiment: Experiment,
     tasks: list[_Task],
     profile: bool = False,
     carrier: Mapping[str, Any] | None = None,
-    experiment: str = "",
 ) -> list[_Outcome]:
-    """Run sweep tasks one by one, capturing per-task failures.
+    """Run tasks one by one, capturing per-task failures.
 
     An exception in one point must not poison its siblings (that is the
-    partial-failure guarantee of ``sweep``), so each point's error is caught
-    and reported as data rather than raised.  With ``profile=True`` each
-    execution is wrapped in :func:`repro.circuit.compiled.profiled_solves`
-    so the outcome carries the point's solver wall time.
+    partial-failure guarantee of ``sweep``), so each point's exception is
+    caught and returned as data rather than raised.  With ``profile=True``
+    each execution is wrapped in
+    :func:`repro.circuit.compiled.profiled_solves` so the outcome carries
+    the point's solver wall time.
 
     ``carrier`` is the tracing context of the submitting process
     (:func:`repro.obs.current_carrier`): contextvars do not cross pool
     boundaries -- thread or process -- so the span ancestry rides along
     in the call instead, and each point records an ``engine.point`` span
-    under the submitter's sweep span.
+    under the submitter's span.
     """
     outcomes: list[_Outcome] = []
     with activate_carrier(carrier):
         for params, inputs in tasks:
-            prof: dict[str, float] | None = None
             start = time.perf_counter()
-            with trace_span("engine.point", experiment=experiment) as span:
+            with trace_span("engine.point", experiment=experiment.name) as span:
                 try:
-                    if profile:
-                        from repro.circuit.compiled import profiled_solves
-
-                        with profiled_solves() as accumulator:
-                            records = run_with_inputs(inputs, params)
-                        prof = dict(accumulator)
-                    else:
-                        records = run_with_inputs(inputs, params)
+                    with _solve_profile(profile) as accumulator:
+                        records = experiment.run_with_inputs(inputs, params)
                 except Exception as error:
-                    message = f"{type(error).__name__}: {error}"
-                    span.set("error", message)
-                    outcomes.append(
-                        (None, message, time.perf_counter() - start, None)
-                    )
+                    span.set("error", _error_text(error))
+                    outcomes.append((None, error, time.perf_counter() - start, None))
                 else:
-                    outcomes.append(
-                        (records, None, time.perf_counter() - start, prof)
-                    )
+                    prof = None if accumulator is None else dict(accumulator)
+                    outcomes.append((records, None, time.perf_counter() - start, prof))
     return outcomes
 
 
@@ -198,16 +215,15 @@ def _execute_chunk(
     Importable (not a closure) so process pools can pickle it; the worker
     rebuilds the registry by name via :func:`ensure_registered`.  Injected
     upstream ResultSets travel inside the task tuples (they pickle as plain
-    columns + meta), so pool workers never touch the cache.
+    columns + meta), so pool workers never touch the cache.  Errors come
+    back as their ``"Type: message"`` text, which always pickles.
     """
     ensure_registered()
-    return _run_outcomes(
-        get_experiment(name).run_with_inputs,
-        tasks,
-        profile=profile,
-        carrier=carrier,
-        experiment=name,
-    )
+    outcomes = _run_outcomes(get_experiment(name), tasks, profile, carrier)
+    return [
+        (records, None if error is None else _error_text(error), elapsed, prof)
+        for records, error, elapsed, prof in outcomes
+    ]
 
 
 @dataclass(frozen=True)
@@ -245,12 +261,13 @@ class SweepPoint:
 
 
 class UpstreamFailure(RuntimeError):
-    """A memoised upstream-stage failure, replayed per dependent point.
+    """A memoised failure that reached this process only as text.
 
-    When a shared upstream invocation raises, the failure is recorded in the
-    in-run memo under the invocation's key so every downstream point that
-    depends on it reports the error *without re-executing* the doomed stage.
-    The message carries the original ``ExceptionType: message`` text.
+    A failed invocation is memoised so every dependent downstream point
+    reports the error *without re-executing* the doomed stage.  In-process
+    failures keep their exception, which is re-raised as is; a failure
+    computed in a process-pool worker is known only by its
+    ``ExceptionType: message`` text, and raises as this type carrying it.
     """
 
 
@@ -299,7 +316,7 @@ class Engine:
         stacked :meth:`~repro.api.experiment.Experiment.run_batch` call
         (points of experiments without one, and points needing injected
         upstream artifacts, run point by point).  Single ``run`` calls
-        always execute inline.
+        always execute inline (under ``"batch"``, as a batch of one).
     max_workers:
         Pool size for the parallel executors (default: ``os.cpu_count()``).
     chunk_size:
@@ -315,13 +332,20 @@ class Engine:
         executor ``None``/``"auto"`` stack *all* pending batchable points
         into one evaluation and an integer caps the stack size.
     profile:
-        When True, every executed point's ResultSet records a
-        ``meta["profile"]`` block splitting the point's cost into
-        ``wall_s`` (experiment execution), ``solve_s`` (time inside the
-        compiled MNA solver; in-process executors only) and ``dispatch_s``
-        (executor queueing/dispatch overhead share), and ``sweep`` adds an
-        aggregated block to the combined ResultSet's meta.  Profile blocks
-        live in meta, so content hashes and cache keys are unaffected.
+        When True, every executed invocation's ResultSet -- a ``run``, a
+        sweep point or an upstream stage of either -- records a
+        ``meta["profile"]`` block splitting its cost into ``wall_s``
+        (experiment execution), ``solve_s`` (time inside the compiled MNA
+        solver; in-process executors only) and ``dispatch_s`` (executor
+        queueing/dispatch overhead share), and ``sweep`` adds an aggregated
+        block to the combined ResultSet's meta.  Profile blocks live in
+        meta, so content hashes and cache keys are unaffected.
+
+    ``run`` and ``sweep`` share one memoised invocation path: each stage of
+    invocations is served from the call's memo, then from the store, and
+    only the rest executes (through the executor; a ``run`` inline) and is
+    published.  Cache counters, the ``repro_points_executed_total`` metric
+    and profile blocks therefore mean the same thing for both.
 
     Pools are kept warm: consecutive sweeps through one engine reuse the
     executor pool instead of re-spawning workers per call.  ``close()``
@@ -428,7 +452,11 @@ class Engine:
             self._point_cost_ema = 0.5 * self._point_cost_ema + 0.5 * elapsed
 
     def _finalize_outcome(self, outcome: _Outcome, dispatch_s: float) -> _Outcome:
-        """Record the point cost and attach the profile block (if profiling)."""
+        """Account one executed invocation; attach its profile block if profiling.
+
+        Every executed invocation -- sweep point, ``run`` or upstream stage,
+        under every executor -- passes through here exactly once.
+        """
         records, error, elapsed, prof = outcome
         self._observe_point_cost(elapsed)
         metrics.counter("repro_points_executed_total", executor=self.executor).inc()
@@ -457,10 +485,18 @@ class Engine:
         experiment: Experiment,
         params: Mapping[str, Any],
         upstream: Mapping[str, str] | None = None,
+        key: str | None = None,
     ) -> str | None:
+        """Store entry of one invocation (None without a store).
+
+        ``key`` is the invocation's upstream-free digest when the caller
+        already has it: for a self-contained invocation it *is* the cache
+        key, so it is not hashed twice.
+        """
         if self.store is None:
             return None
-        key = cache_key(experiment.name, experiment.version, params, upstream)
+        if upstream or key is None:
+            key = cache_key(experiment.name, experiment.version, params, upstream)
         return self.store.entry_path(experiment.name, key)
 
     def _cache_load(self, path: str | None) -> ResultSet | None:
@@ -509,69 +545,159 @@ class Engine:
         Parameters can be passed as a mapping, as keywords, or both
         (keywords win).  With a cache directory configured, a repeated
         invocation is served from disk (``meta["cache_hit"]`` is then True).
+        A run is a stage of one invocation (see :meth:`_stage`), executed
+        inline; an exception raised by the experiment, or by any upstream
+        stage it needs, propagates unchanged.
 
         A composite experiment (non-empty ``consumes``) has its upstream
-        dependencies resolved first -- recursively, through this same method,
-        so upstream results are memoised too -- and their ResultSets injected
-        into the call.  ``stage_params`` carries per-experiment parameter
-        overrides for the upstream stages (a study's ``params``); overrides
-        for upstream parameters that are *bound* to this experiment's
-        parameters are ignored in favour of the bound values.
+        dependencies resolved first -- recursively, memoised and cached like
+        the run itself -- and their ResultSets injected into the call.
+        ``stage_params`` carries per-experiment parameter overrides for the
+        upstream stages (a study's ``params``); overrides for upstream
+        parameters that are *bound* to this experiment's parameters are
+        ignored in favour of the bound values.
         """
         experiment = name if isinstance(name, Experiment) else get_experiment(name)
         resolved = experiment.resolve_params({**(params or {}), **param_kwargs})
-        return self._run_resolved(experiment, resolved, use_cache, stage_params, {})
+        with trace_span("engine.run", experiment=experiment.name):
+            for _, result, error, _ in self._stage(
+                experiment, [resolved], use_cache, stage_params, {}
+            ):
+                if error is not None:
+                    raise _as_exception(error)
+        return result
 
-    def _run_resolved(
+    def _stage(
         self,
         experiment: Experiment,
-        resolved: dict[str, Any],
+        invocations: list[dict[str, Any]],
         use_cache: bool,
         stage_params: StageParams | None,
-        memo: dict[str, "ResultSet | UpstreamFailure"],
-    ) -> ResultSet:
-        """Memoised single-invocation execution (the body of :meth:`run`).
+        memo: _Memo,
+    ) -> Iterator[tuple[int, ResultSet | None, _Error | None, bool]]:
+        """Serve one stage of resolved invocations of ``experiment``.
 
-        ``memo`` deduplicates repeated invocations *within one engine call*
-        (several downstream points binding to the same upstream parameters),
-        which is what keeps cache-less engines from recomputing shared
-        upstream stages per point.  Failures are memoised too (as
-        :class:`UpstreamFailure`), so a doomed shared stage executes once
-        and its error replays per dependent downstream point.
+        The one memoised invocation path behind :meth:`run`,
+        :meth:`iter_sweep`, :meth:`resolve_inputs` and every upstream stage:
+
+        1. for each dependency, the distinct bound upstream invocations of
+           the not-yet-memoised ``invocations`` are staged first, through
+           this same method -- so the deepest stage runs first and a pooled
+           executor parallelises every stage, not just the last one;
+        2. each remaining invocation is served from the store when it holds
+           the entry, or executed through :meth:`_execute_pending`;
+        3. every result and failure lands in ``memo`` (keyed by the
+           upstream-free :func:`cache_key` digest), so an invocation shared
+           by several downstream points -- a doomed one included -- executes
+           once per engine call, with or without a store.
+
+        Yields ``(slot, result, error, upstream_failed)`` for each
+        invocation not already in ``memo`` -- cache hits and upstream
+        failures first, in slot order, then executed invocations in
+        completion order.  ``slot`` indexes ``invocations``;
+        ``upstream_failed`` marks an error raised by an upstream stage (or
+        by binding its parameters) rather than by ``experiment`` itself.
         """
-        memo_key = cache_key(experiment.name, experiment.version, resolved)
-        hit = memo.get(memo_key)
-        if isinstance(hit, UpstreamFailure):
-            raise hit
-        if hit is not None:
-            return hit
-
-        inputs, upstream = self.resolve_inputs(
-            experiment, resolved, stage_params, use_cache, memo
+        keys = [
+            cache_key(experiment.name, experiment.version, params)
+            for params in invocations
+        ]
+        todo = [slot for slot, key in enumerate(keys) if key not in memo]
+        inputs, failures = self._stage_upstreams(
+            experiment, [invocations[slot] for slot in todo], use_cache, stage_params, memo
         )
-        path = self._cache_path(experiment, resolved, upstream) if use_cache else None
-        cached = self._cache_load(path)
-        if cached is not None:
-            self._count_cache("hit")
-            memo[memo_key] = cached
-            return cached
-        self._count_cache("miss")
 
-        start = time.perf_counter()
-        with trace_span("engine.run", experiment=experiment.name):
-            try:
-                records = experiment.run_with_inputs(inputs, resolved)
-            except Exception as error:
-                memo[memo_key] = UpstreamFailure(f"{type(error).__name__}: {error}")
-                raise
-        elapsed = time.perf_counter() - start
+        pending: list[int] = []
+        tasks: dict[int, _Task] = {}
+        paths: dict[int, str | None] = {}
+        upstream: dict[int, dict[str, str]] = {}
+        for slot, slot_inputs, failure in zip(todo, inputs, failures):
+            if failure is not None:
+                memo[keys[slot]] = failure
+                yield slot, None, failure, True
+                continue
+            hashes = {inject: result.content_hash for inject, result in slot_inputs.items()}
+            path = (
+                self._cache_path(experiment, invocations[slot], hashes, keys[slot])
+                if use_cache
+                else None
+            )
+            cached = self._cache_load(path)
+            if cached is not None:
+                self._count_cache("hit")
+                memo[keys[slot]] = cached
+                yield slot, cached, None, False
+                continue
+            pending.append(slot)
+            tasks[slot] = (invocations[slot], slot_inputs)
+            paths[slot] = path
+            upstream[slot] = hashes
+        if pending:
+            self._count_cache("miss", len(pending))
 
-        result = ResultSet.from_records(
-            records, meta=self._meta(experiment, resolved, elapsed, upstream)
-        )
-        self._cache_store(path, result)
-        memo[memo_key] = result
-        return result
+        for slot, (records, error, elapsed, prof) in self._execute_pending(
+            experiment, tasks, pending
+        ):
+            if error is not None:
+                memo[keys[slot]] = error
+                yield slot, None, error, False
+                continue
+            meta = self._meta(experiment, invocations[slot], elapsed, upstream[slot])
+            if prof is not None:
+                meta["profile"] = prof
+            result = ResultSet.from_records(records, meta=meta)
+            self._cache_store(paths[slot], result)
+            memo[keys[slot]] = result
+            yield slot, result, None, False
+
+    def _stage_upstreams(
+        self,
+        experiment: Experiment,
+        invocations: list[dict[str, Any]],
+        use_cache: bool,
+        stage_params: StageParams | None,
+        memo: _Memo,
+    ) -> tuple[list[dict[str, ResultSet]], list[_Error | None]]:
+        """Stage every dependency of ``experiment`` for ``invocations``.
+
+        Returns, per invocation, the upstream ResultSets to inject (keyed by
+        each dependency's ``inject`` name) and the first failure among its
+        dependencies (declaration order), or None.  An upstream invocation's
+        parameters are its defaults, overridden by ``stage_params`` for that
+        experiment, overridden by the values bound from the invocation.
+        Each dependency's bound invocations are deduplicated and staged
+        through :meth:`_stage` before the next dependency.
+        """
+        inputs: list[dict[str, ResultSet]] = [{} for _ in invocations]
+        failures: list[_Error | None] = [None] * len(invocations)
+        for dep in experiment.consumes:
+            upstream = get_experiment(dep.experiment)
+            overrides = (stage_params or {}).get(dep.experiment, {})
+            bound: dict[int, str] = {}
+            distinct: dict[str, dict[str, Any]] = {}
+            for slot, params in enumerate(invocations):
+                try:
+                    up_params = upstream.resolve_params(
+                        {**overrides, **{up: params[down] for up, down in dep.bind.items()}}
+                    )
+                except Exception as error:
+                    if failures[slot] is None:
+                        failures[slot] = error
+                    continue
+                key = cache_key(upstream.name, upstream.version, up_params)
+                bound[slot] = key
+                distinct.setdefault(key, up_params)
+            for _ in self._stage(
+                upstream, list(distinct.values()), use_cache, stage_params, memo
+            ):
+                pass  # the stage memoises every outcome
+            for slot, key in bound.items():
+                outcome = memo[key]
+                if isinstance(outcome, ResultSet):
+                    inputs[slot][dep.inject] = outcome
+                elif failures[slot] is None:
+                    failures[slot] = outcome
+        return inputs, failures
 
     def resolve_inputs(
         self,
@@ -579,7 +705,7 @@ class Engine:
         resolved: Mapping[str, Any],
         stage_params: StageParams | None = None,
         use_cache: bool = True,
-        memo: dict[str, "ResultSet | UpstreamFailure"] | None = None,
+        memo: dict[str, Any] | None = None,
     ) -> tuple[dict[str, ResultSet], dict[str, str]]:
         """Resolve a composite experiment's upstream artifacts.
 
@@ -590,41 +716,20 @@ class Engine:
         through :meth:`run` semantics -- memoised, cached, recursive -- with
         each upstream's parameters assembled from its defaults, the
         ``stage_params`` overrides for that experiment, and the values bound
-        from ``resolved`` (bound values win).
+        from ``resolved`` (bound values win).  The first upstream failure is
+        raised.
 
         ``memo`` may be shared across calls to deduplicate upstream work for
         many downstream points (:func:`repro.dist.worker.run_worker` does).
         """
         if not experiment.consumes:
             return {}, {}
-        if memo is None:
-            memo = {}
-        inputs: dict[str, ResultSet] = {}
-        upstream_hashes: dict[str, str] = {}
-        for dep in experiment.consumes:
-            upstream = get_experiment(dep.experiment)
-            up_resolved = self._bound_upstream_params(
-                upstream, dep, resolved, stage_params
-            )
-            result = self._run_resolved(
-                upstream, up_resolved, use_cache, stage_params, memo
-            )
-            inputs[dep.inject] = result
-            upstream_hashes[dep.inject] = result.content_hash
-        return inputs, upstream_hashes
-
-    @staticmethod
-    def _bound_upstream_params(
-        upstream: Experiment,
-        dep: "Consumes",
-        resolved: Mapping[str, Any],
-        stage_params: StageParams | None,
-    ) -> dict[str, Any]:
-        """One upstream invocation's resolved parameters (overrides + binds)."""
-        overrides = dict((stage_params or {}).get(dep.experiment, {}))
-        for up_name, down_name in dep.bind.items():
-            overrides[up_name] = resolved[down_name]
-        return upstream.resolve_params(overrides)
+        inputs, failures = self._stage_upstreams(
+            experiment, [dict(resolved)], use_cache, stage_params, {} if memo is None else memo
+        )
+        if failures[0] is not None:
+            raise _as_exception(failures[0])
+        return inputs[0], {inject: result.content_hash for inject, result in inputs[0].items()}
 
     def run_study(
         self,
@@ -841,209 +946,26 @@ class Engine:
         experiment = name if isinstance(name, Experiment) else get_experiment(name)
         points = spec.points()
         selected = list(range(len(points))) if shard is None else shard.indices(points)
-        # Resolve (and cache-key) only the selected slice: a 1-of-N shard of
-        # a large sweep must not pay parameter resolution for all N slices.
-        resolved_points = {
-            index: experiment.resolve_params({**(base_params or {}), **points[index]})
+        # Resolve only the selected slice: a 1-of-N shard of a large sweep
+        # must not pay parameter resolution for all N slices.
+        invocations = [
+            experiment.resolve_params({**(base_params or {}), **points[index]})
             for index in selected
-        }
-        return self._iter_resolved(
-            experiment, points, resolved_points, selected, use_cache, stage_params
-        )
-
-    def _iter_resolved(
-        self,
-        experiment: Experiment,
-        points: list[dict[str, Any]],
-        resolved_points: dict[int, dict[str, Any]],
-        selected: list[int],
-        use_cache: bool,
-        stage_params: StageParams | None,
-    ) -> Iterator[SweepPoint]:
-        """The generator body of :meth:`iter_sweep` (post parameter resolution)."""
-        memo: dict[str, "ResultSet | UpstreamFailure"] = {}
-        if experiment.consumes and selected:
-            # Stage the DAG: run the distinct upstream invocations first so
-            # the per-point injection below is a memo lookup, not a compute.
-            self._prefetch_upstreams(
-                experiment,
-                [resolved_points[index] for index in selected],
-                use_cache,
-                stage_params,
-                memo,
-            )
-
-        pending: list[int] = []
-        paths: dict[int, str | None] = {}
-        tasks: dict[int, _Task] = {}
-        for index in selected:
-            try:
-                inputs, upstream = self.resolve_inputs(
-                    experiment, resolved_points[index], stage_params, use_cache, memo
-                )
-            except Exception as error:
-                # A failed upstream stage fails the dependent point only; the
-                # prefix marks where in the pipeline the failure happened.
-                # A memo-replayed UpstreamFailure already carries the original
-                # "ExceptionType: message" text.
-                message = (
-                    str(error)
-                    if isinstance(error, UpstreamFailure)
-                    else f"{type(error).__name__}: {error}"
-                )
-                yield SweepPoint(
-                    index=index,
-                    point=points[index],
-                    params=resolved_points[index],
-                    result=None,
-                    error=f"upstream: {message}",
-                )
-                continue
-            path = (
-                self._cache_path(experiment, resolved_points[index], upstream)
-                if use_cache
-                else None
-            )
-            cached = self._cache_load(path)
-            if cached is None:
-                pending.append(index)
-                paths[index] = path
-                tasks[index] = (resolved_points[index], inputs)
-                continue
-            self._count_cache("hit")
-            yield SweepPoint(
-                index=index,
-                point=points[index],
-                params=resolved_points[index],
-                result=cached,
-                cache_hit=True,
-            )
-        if pending:
-            self._count_cache("miss", len(pending))
-
-        upstream_by_index = {
-            index: {
-                inject: result.content_hash
-                for inject, result in tasks[index][1].items()
-            }
-            for index in pending
-        }
-        for index, (records, error, elapsed, prof) in self._execute_pending(
-            experiment, tasks, pending
-        ):
-            if error is not None:
-                yield SweepPoint(
-                    index=index,
-                    point=points[index],
-                    params=resolved_points[index],
-                    result=None,
-                    error=error,
-                )
-                continue
-            meta = self._meta(
-                experiment, resolved_points[index], elapsed, upstream_by_index[index]
-            )
-            if prof is not None:
-                meta["profile"] = prof
-            result = ResultSet.from_records(records, meta=meta)
-            self._cache_store(paths[index], result)
-            yield SweepPoint(
-                index=index,
-                point=points[index],
-                params=resolved_points[index],
+        ]
+        stream = self._stage(experiment, invocations, use_cache, stage_params, {})
+        return (
+            SweepPoint(
+                index=selected[slot],
+                point=points[selected[slot]],
+                params=invocations[slot],
                 result=result,
+                error=None
+                if error is None
+                else ("upstream: " if upstream_failed else "") + _error_text(error),
+                cache_hit=result is not None and bool(result.meta.get("cache_hit")),
             )
-
-    def _prefetch_upstreams(
-        self,
-        experiment: Experiment,
-        resolved_list: list[dict[str, Any]],
-        use_cache: bool,
-        stage_params: StageParams | None,
-        memo: dict[str, "ResultSet | UpstreamFailure"],
-    ) -> None:
-        """Execute one stage's distinct upstream invocations, deepest first.
-
-        For every dependency of ``experiment``, project the downstream
-        points through the parameter bindings, deduplicate the resulting
-        upstream invocations, recurse (so transitively deeper stages run
-        first) and fan the still-unmemoised invocations out through
-        :meth:`_execute_pending` -- the exact machinery downstream points
-        use, so a thread/process engine parallelises every stage, not just
-        the last one.  Failures are *not* raised here: the per-point
-        injection pass re-resolves and attributes the error to exactly the
-        dependent downstream points.
-        """
-        for dep in experiment.consumes:
-            upstream = get_experiment(dep.experiment)
-            distinct: dict[str, dict[str, Any]] = {}
-            for resolved in resolved_list:
-                try:
-                    up_resolved = self._bound_upstream_params(
-                        upstream, dep, resolved, stage_params
-                    )
-                except Exception:
-                    continue  # surfaced per downstream point later
-                distinct.setdefault(
-                    cache_key(upstream.name, upstream.version, up_resolved),
-                    up_resolved,
-                )
-            if not distinct:
-                continue
-            invocations = list(distinct.values())
-            if upstream.consumes:
-                self._prefetch_upstreams(
-                    upstream, invocations, use_cache, stage_params, memo
-                )
-
-            pending: list[int] = []
-            stage_tasks: dict[int, _Task] = {}
-            stage_paths: dict[int, str | None] = {}
-            stage_upstream: dict[int, dict[str, str]] = {}
-            memo_keys: dict[int, str] = {}
-            for slot, (memo_key, up_resolved) in enumerate(distinct.items()):
-                if memo_key in memo:
-                    continue
-                try:
-                    inputs, upstream_hashes = self.resolve_inputs(
-                        upstream, up_resolved, stage_params, use_cache, memo
-                    )
-                except Exception:
-                    continue  # deeper-stage failure; attributed downstream
-                path = (
-                    self._cache_path(upstream, up_resolved, upstream_hashes)
-                    if use_cache
-                    else None
-                )
-                cached = self._cache_load(path)
-                if cached is not None:
-                    self._count_cache("hit")
-                    memo[memo_key] = cached
-                    continue
-                pending.append(slot)
-                memo_keys[slot] = memo_key
-                stage_tasks[slot] = (up_resolved, inputs)
-                stage_paths[slot] = path
-                stage_upstream[slot] = upstream_hashes
-            if pending:
-                self._count_cache("miss", len(pending))
-
-            for slot, (records, error, elapsed, prof) in self._execute_pending(
-                upstream, stage_tasks, pending
-            ):
-                if error is not None:
-                    # Memoise the failure: dependent downstream points report
-                    # it without re-executing the doomed invocation.
-                    memo[memo_keys[slot]] = UpstreamFailure(error)
-                    continue
-                stage_meta = self._meta(
-                    upstream, stage_tasks[slot][0], elapsed, stage_upstream[slot]
-                )
-                if prof is not None:
-                    stage_meta["profile"] = prof
-                result = ResultSet.from_records(records, meta=stage_meta)
-                self._cache_store(stage_paths[slot], result)
-                memo[memo_keys[slot]] = result
+            for slot, result, error, upstream_failed in stream
+        )
 
     # --- helpers ----------------------------------------------------------
 
@@ -1087,11 +1009,12 @@ class Engine:
         tasks: dict[int, _Task],
         pending: list[int],
     ) -> Iterator[tuple[int, _Outcome]]:
-        """Yield ``(point_index, outcome)`` for every uncached sweep point.
+        """Yield ``(slot, outcome)`` for every pending invocation of a stage.
 
-        ``tasks`` maps each pending index to its ``(resolved params,
+        ``tasks`` maps each pending slot to its ``(resolved params,
         injected inputs)`` pair -- inputs are empty for self-contained
-        experiments.  Serial execution yields in sweep order; the pooled
+        experiments.  A single pending invocation always runs in this
+        process.  Serial execution yields in slot order; the pooled
         executors submit one future per point by default (see
         :meth:`_chunks`) and yield each future's points as it completes,
         which is what makes :meth:`iter_sweep` stream point-granularly under
@@ -1103,16 +1026,8 @@ class Engine:
             yield from self._execute_batched(experiment, tasks, pending)
             return
         if self.executor == "serial" or len(pending) == 1:
-            # Execute through the instance itself so ad-hoc (unregistered)
-            # Experiment objects behave exactly like in run().
             for index in pending:
-                outcome = _run_outcomes(
-                    experiment.run_with_inputs,
-                    [tasks[index]],
-                    profile=self.profile,
-                    experiment=experiment.name,
-                )[0]
-                yield index, self._finalize_outcome(outcome, 0.0)
+                yield index, self._run_inline(experiment, tasks[index])
             return
 
         if self.executor == "process":
@@ -1137,30 +1052,21 @@ class Engine:
         # solve_s accrues, so dropping it there zeroed every pooled
         # point's solver share.
         carrier = current_carrier()
-        if self.executor == "thread":
-            # Threads share the interpreter: execute through the instance
-            # (ad-hoc experiments included), no registry round-trip.
-            def submit(chunk_tasks):
-                return pool.submit(
-                    _run_outcomes,
-                    experiment.run_with_inputs,
-                    chunk_tasks,
-                    self.profile,
-                    carrier,
-                    experiment.name,
-                )
-
-        else:
-            def submit(chunk_tasks):
-                return pool.submit(
-                    _execute_chunk, experiment.name, chunk_tasks, self.profile, carrier
-                )
+        # Threads share the interpreter: they execute through the instance
+        # (ad-hoc experiments included), with no registry round-trip.
+        target, which = (
+            (_run_outcomes, experiment)
+            if self.executor == "thread"
+            else (_execute_chunk, experiment.name)
+        )
 
         future_to_chunk: dict[Any, list[int]] = {}
         submitted_at: dict[Any, float] = {}
         for chunk in chunks:
             start = time.perf_counter()
-            future = submit([tasks[i] for i in chunk])
+            future = pool.submit(
+                target, which, [tasks[i] for i in chunk], self.profile, carrier
+            )
             future_to_chunk[future] = chunk
             submitted_at[future] = start
         try:
@@ -1214,15 +1120,8 @@ class Engine:
         )
         batch_set = set(batchable)
         for index in pending:
-            if index in batch_set:
-                continue
-            outcome = _run_outcomes(
-                experiment.run_with_inputs,
-                [tasks[index]],
-                profile=self.profile,
-                experiment=experiment.name,
-            )[0]
-            yield index, self._finalize_outcome(outcome, 0.0)
+            if index not in batch_set:
+                yield index, self._run_inline(experiment, tasks[index])
 
         if isinstance(self.chunk_size, int):
             chunks = [
@@ -1233,37 +1132,34 @@ class Engine:
             chunks = [batchable] if batchable else []
         for chunk in chunks:
             start = time.perf_counter()
-            solve_share = 0.0
             try:
                 with trace_span(
                     "engine.batch", experiment=experiment.name, n_points=len(chunk)
-                ):
-                    if self.profile:
-                        from repro.circuit.compiled import profiled_solves
-
-                        with profiled_solves() as accumulator:
-                            records_list = experiment.run_batch(
-                                [tasks[index][0] for index in chunk]
-                            )
-                        solve_share = accumulator["solve_s"] / len(chunk)
-                    else:
-                        records_list = experiment.run_batch(
-                            [tasks[index][0] for index in chunk]
-                        )
+                ), _solve_profile(self.profile) as accumulator:
+                    records_list = experiment.run_batch(
+                        [tasks[index][0] for index in chunk]
+                    )
             except Exception:
                 for index in chunk:
-                    outcome = _run_outcomes(
-                        experiment.run_with_inputs,
-                        [tasks[index]],
-                        profile=self.profile,
-                        experiment=experiment.name,
-                    )[0]
-                    yield index, self._finalize_outcome(outcome, 0.0)
+                    yield index, self._run_inline(experiment, tasks[index])
                 continue
             elapsed = (time.perf_counter() - start) / len(chunk)
+            prof = (
+                None
+                if accumulator is None
+                else {"solve_s": accumulator["solve_s"] / len(chunk)}
+            )
             for index, records in zip(chunk, records_list):
-                prof = {"solve_s": solve_share} if self.profile else None
                 yield index, self._finalize_outcome((records, None, elapsed, prof), 0.0)
+
+    def _run_inline(self, experiment: Experiment, task: _Task) -> _Outcome:
+        """Execute one task in this process, through the instance itself.
+
+        Ad-hoc (unregistered) Experiment objects therefore run exactly like
+        registered ones, and a failure keeps its exception object.
+        """
+        outcome = _run_outcomes(experiment, [task], self.profile)[0]
+        return self._finalize_outcome(outcome, 0.0)
 
     def _meta(
         self,

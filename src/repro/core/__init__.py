@@ -43,7 +43,6 @@ from repro.core.line import (
     Conductor,
     DistributedRC,
     InterconnectLine,
-    LineMaterial,
     conductor_record,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "kinetic_inductance",
     "magnetic_inductance_over_plane",
     "Conductor",
-    "LineMaterial",
     "conductor_record",
     "InterconnectLine",
     "DistributedRC",

@@ -41,11 +41,6 @@ class Conductor(Protocol):
     def capacitance(self) -> float: ...
 
 
-#: Backwards-compatible alias; the protocol was named ``LineMaterial`` before
-#: the experiment-engine redesign promoted it to the shared sweep contract.
-LineMaterial = Conductor
-
-
 def conductor_record(conductor: Conductor, label: str | None = None) -> dict[str, Any]:
     """Uniform comparison record of any :class:`Conductor`.
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextvars
 import json
 import os
+import threading
 import time
 import uuid
 from contextlib import contextmanager
@@ -56,6 +57,12 @@ TRACE_HEADER = "X-Repro-Trace"
 _SINK_PATH: str | None = None
 _SINK_FD: int | None = None
 _SINK_PID: int | None = None
+
+# Blocks running under a sink adopted from a carrier.  Daemon threads adopt
+# concurrently, so the sink is cleared only when the last of them exits --
+# not when the first one does, under the others' open spans.
+_ADOPTERS = 0
+_ADOPT_LOCK = threading.Lock()
 
 # (trace_id, span_id) of the innermost open span; context-local so
 # concurrent threads (thread executor, HTTP handler threads) each see
@@ -258,6 +265,7 @@ def activate_carrier(carrier: Mapping[str, Any] | None) -> Iterator[None]:
     submitting client's trace file.  ``None`` or malformed carriers are
     ignored, so call sites never need to guard.
     """
+    global _ADOPTERS
     if (
         not isinstance(carrier, Mapping)
         or not carrier.get("trace_id")
@@ -265,18 +273,24 @@ def activate_carrier(carrier: Mapping[str, Any] | None) -> Iterator[None]:
     ):
         yield
         return
-    restore_sink = False
-    previous_sink: str | None = None
-    if _SINK_PATH is None and carrier.get("sink"):
-        previous_sink = configure_tracing(str(carrier["sink"]))
-        restore_sink = True
+    adopted = False
+    if carrier.get("sink"):
+        with _ADOPT_LOCK:
+            if _ADOPTERS or _SINK_PATH is None:
+                if not _ADOPTERS:
+                    configure_tracing(str(carrier["sink"]))
+                _ADOPTERS += 1
+                adopted = True
     token = _CONTEXT.set((str(carrier["trace_id"]), str(carrier["span_id"])))
     try:
         yield
     finally:
         _CONTEXT.reset(token)
-        if restore_sink:
-            configure_tracing(previous_sink)
+        if adopted:
+            with _ADOPT_LOCK:
+                _ADOPTERS -= 1
+                if not _ADOPTERS:
+                    configure_tracing(None)
 
 
 def carrier_to_header(carrier: Mapping[str, Any]) -> str:

@@ -25,6 +25,7 @@ from repro.api import (
     unregister_experiment,
     unregister_study,
 )
+from repro.obs import metrics
 
 CALLS = {"source": 0, "scale": 0, "sink": 0}
 
@@ -365,6 +366,67 @@ class TestEngineComposite:
         second = Engine(cache_dir=str(tmp_path)).sweep("pipe_sink", spec)
         assert CALLS["sink"] == 2  # second sweep fully cached
         assert second.content_hash == first.content_hash
+
+
+class TestOneInvocationPath:
+    """``run`` and ``sweep`` serve, execute and account invocations alike."""
+
+    def test_run_reraises_the_upstream_exception(self, pipeline_experiments):
+        with pytest.raises(ValueError) as excinfo:
+            Engine().run("pipe_sink", base=-1.0)
+        assert str(excinfo.value) == "base must be non-negative"
+        assert CALLS == {"source": 1, "scale": 0, "sink": 0}
+
+    @pytest.mark.parametrize("first", ["run", "sweep"])
+    def test_run_and_one_point_sweep_replay_each_other(
+        self, pipeline_experiments, tmp_path, first
+    ):
+        calls = {
+            "run": lambda engine: engine.run("pipe_sink", base=2.0),
+            "sweep": lambda engine: engine.sweep(
+                "pipe_sink", SweepSpec.grid(base=[2.0])
+            ),
+        }
+        second = "sweep" if first == "run" else "run"
+        calls[first](Engine(cache_dir=str(tmp_path)))
+        engine = Engine(cache_dir=str(tmp_path))
+        result = calls[second](engine)
+        assert result.column("total") == [24.0]
+        assert CALLS == {"source": 1, "scale": 1, "sink": 1}
+        assert (engine.cache_hits, engine.cache_misses) == (3, 0)
+
+    def test_run_and_one_point_sweep_profile_and_count_alike(
+        self, pipeline_experiments
+    ):
+        executed = metrics.counter("repro_points_executed_total", executor="serial")
+        before = executed.value
+        ran = Engine(profile=True).run("pipe_sink", base=2.0)
+        after_run = executed.value
+        (point,) = Engine(profile=True).iter_sweep(
+            "pipe_sink", SweepSpec.grid(base=[2.0])
+        )
+        # One count per executed stage: source, scale and sink.
+        assert after_run - before == executed.value - after_run == 3
+        keys = {"wall_s", "solve_s", "dispatch_s"}
+        assert set(ran.meta["profile"]) == set(point.result.meta["profile"]) == keys
+
+    def test_upstream_error_text_is_executor_independent(self, pipeline_experiments):
+        # Three distinct source invocations, so the process executor runs the
+        # doomed one in a pool worker, where errors travel as text.
+        spec = SweepSpec.grid(base=[1.0, -1.0, 2.0])
+        errors = {}
+        for executor in ("serial", "process"):
+            with Engine(executor=executor, max_workers=2) as engine:
+                errors[executor] = {
+                    point.index: point.error
+                    for point in engine.iter_sweep("pipe_sink", spec)
+                }
+        assert errors["serial"] == errors["process"]
+        assert errors["serial"] == {
+            0: None,
+            1: "upstream: ValueError: base must be non-negative",
+            2: None,
+        }
 
 
 class TestStudyRegistry:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -137,6 +138,36 @@ class TestCarriers:
         spans = {span["name"]: span for span in _read_spans(sink)}
         assert spans["receiver"]["trace_id"] == sender.trace_id
         assert spans["receiver"]["parent_id"] == sender.span_id
+
+    def test_overlapping_adoptions_keep_the_sink_until_the_last_exits(self, tmp_path):
+        # Two daemon threads adopt the same carrier sink; the first one to
+        # leave must not switch tracing off under the other's open job.
+        sink = str(tmp_path / "trace.jsonl")
+        carrier = {"trace_id": "a" * 16, "span_id": "b" * 16, "sink": sink}
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+
+        def first():
+            with activate_carrier(carrier):
+                first_in.set()
+                second_in.wait(5.0)
+            first_out.set()
+
+        def second():
+            first_in.wait(5.0)
+            with activate_carrier(carrier):
+                second_in.set()
+                first_out.wait(5.0)
+                with trace_span("late"):
+                    pass
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert trace_sink() is None
+        assert [span["name"] for span in _read_spans(sink)] == ["late"]
 
     def test_activate_tolerates_none_and_garbage(self):
         for carrier in (None, {}, {"trace_id": "x"}, "junk", 17):
