@@ -27,7 +27,9 @@ partial :class:`ResultSet`.
 invocation path, :meth:`Engine._stage`: look the invocation up in the
 call's memo and then in the store, execute what is left through the
 configured executor, publish and memoise.  A ``run`` is a stage of one
-invocation, executed inline.
+invocation, executed inline.  The distributed worker
+(:func:`repro.dist.worker.run_worker`) executes and publishes the points
+it leased through the same tail, :meth:`Engine._execute_and_publish`.
 
 Composite experiments (a non-empty ``consumes`` declaration, see
 :mod:`repro.api.study`) execute as *staged pipelines*: the engine first runs
@@ -148,22 +150,6 @@ def _solve_profile(profile: bool) -> Any:
     from repro.circuit.compiled import profiled_solves
 
     return profiled_solves()
-
-
-def upstream_meta(
-    experiment: Experiment, upstream: Mapping[str, str]
-) -> dict[str, dict[str, str]]:
-    """Provenance block for consumed artifacts: inject -> (experiment, hash).
-
-    One construction shared by the engine's ``_meta`` and the distributed
-    worker's publish path -- the two must stay identical for worker-written
-    and engine-written entries to carry the same provenance shape.
-    """
-    by_inject = {dep.inject: dep.experiment for dep in experiment.consumes}
-    return {
-        inject: {"experiment": by_inject[inject], "content_hash": digest}
-        for inject, digest in upstream.items()
-    }
 
 
 def _run_outcomes(
@@ -578,7 +564,7 @@ class Engine:
         """Serve one stage of resolved invocations of ``experiment``.
 
         The one memoised invocation path behind :meth:`run`,
-        :meth:`iter_sweep`, :meth:`resolve_inputs` and every upstream stage:
+        :meth:`iter_sweep` and every upstream stage:
 
         1. for each dependency, the distinct bound upstream invocations of
            the not-yet-memoised ``invocations`` are staged first, through
@@ -635,20 +621,42 @@ class Engine:
         if pending:
             self._count_cache("miss", len(pending))
 
+        for slot, result, error in self._execute_and_publish(
+            experiment, tasks, pending, paths, upstream
+        ):
+            memo[keys[slot]] = result if error is None else error
+            yield slot, result, error, False
+
+    def _execute_and_publish(
+        self,
+        experiment: Experiment,
+        tasks: dict[int, _Task],
+        pending: list[int],
+        paths: Mapping[int, str | None],
+        upstream: Mapping[int, Mapping[str, str]],
+    ) -> Iterator[tuple[int, ResultSet | None, _Error | None]]:
+        """Execute pending invocations, build their meta and publish them.
+
+        The tail shared by :meth:`_stage` and the distributed worker
+        (:func:`repro.dist.worker.run_worker`, which executes the points it
+        leased through here): ``tasks`` maps each pending slot to its
+        ``(resolved params, injected inputs)`` pair, ``paths`` to its store
+        entry (None: do not publish) and ``upstream`` to the content hashes
+        of its injected inputs.  Yields ``(slot, result, error)`` in
+        completion order; exactly one of ``result`` and ``error`` is set.
+        """
         for slot, (records, error, elapsed, prof) in self._execute_pending(
             experiment, tasks, pending
         ):
             if error is not None:
-                memo[keys[slot]] = error
-                yield slot, None, error, False
+                yield slot, None, error
                 continue
-            meta = self._meta(experiment, invocations[slot], elapsed, upstream[slot])
+            meta = self._meta(experiment, tasks[slot][0], elapsed, upstream[slot])
             if prof is not None:
                 meta["profile"] = prof
             result = ResultSet.from_records(records, meta=meta)
             self._cache_store(paths[slot], result)
-            memo[keys[slot]] = result
-            yield slot, result, None, False
+            yield slot, result, None
 
     def _stage_upstreams(
         self,
@@ -698,38 +706,6 @@ class Engine:
                 elif failures[slot] is None:
                     failures[slot] = outcome
         return inputs, failures
-
-    def resolve_inputs(
-        self,
-        experiment: Experiment,
-        resolved: Mapping[str, Any],
-        stage_params: StageParams | None = None,
-        use_cache: bool = True,
-        memo: dict[str, Any] | None = None,
-    ) -> tuple[dict[str, ResultSet], dict[str, str]]:
-        """Resolve a composite experiment's upstream artifacts.
-
-        Returns ``(inputs, upstream)``: the ResultSets to inject (keyed by
-        each dependency's ``inject`` name) and their content hashes (the
-        chaining component of the downstream cache key).  Self-contained
-        experiments return two empty dicts.  Upstream invocations execute
-        through :meth:`run` semantics -- memoised, cached, recursive -- with
-        each upstream's parameters assembled from its defaults, the
-        ``stage_params`` overrides for that experiment, and the values bound
-        from ``resolved`` (bound values win).  The first upstream failure is
-        raised.
-
-        ``memo`` may be shared across calls to deduplicate upstream work for
-        many downstream points (:func:`repro.dist.worker.run_worker` does).
-        """
-        if not experiment.consumes:
-            return {}, {}
-        inputs, failures = self._stage_upstreams(
-            experiment, [dict(resolved)], use_cache, stage_params, {} if memo is None else memo
-        )
-        if failures[0] is not None:
-            raise _as_exception(failures[0])
-        return inputs[0], {inject: result.content_hash for inject, result in inputs[0].items()}
 
     def run_study(
         self,
@@ -1179,7 +1155,11 @@ class Engine:
         if upstream:
             # Provenance of consumed artifacts: which upstream experiment fed
             # each inject, pinned by the content hash the cache key chained.
-            meta["upstream"] = upstream_meta(experiment, upstream)
+            by_inject = {dep.inject: dep.experiment for dep in experiment.consumes}
+            meta["upstream"] = {
+                inject: {"experiment": by_inject[inject], "content_hash": digest}
+                for inject, digest in upstream.items()
+            }
         return meta
 
 

@@ -7,10 +7,18 @@ the same sweep cooperate through the store alone:
 * each pending point is executed by exactly one worker -- ``claim`` grants
   a ttl-bounded lease, publish is atomic, and a point whose result already
   exists is skipped (``claim`` reports ``"done"``);
-* while a point executes, a background heartbeat renews the lease at the
-  ttl's half-way mark, so the ttl no longer has to exceed the slowest
-  single point -- a live worker keeps its claim for as long as the point
-  takes, while a *dead* worker's lease still expires within one ttl;
+* each claim pass leases up to half the remaining points, and one
+  background heartbeat renews *every* lease of the pass at the ttl's
+  half-way mark, from before the first of them runs until the last is
+  published -- so the ttl does not have to exceed the slowest single point
+  (nor the pass), points queued behind slower ones keep their leases, and
+  a *dead* worker's leases still expire within one ttl;
+* leased points execute and publish through the engine's own invocation
+  path (an ``Engine(store=store, executor="batch")``): stacked evaluation
+  for experiments with a ``batch_fn`` with per-point fallback, the
+  engine's ``engine.point`` / ``engine.batch`` spans under one
+  ``worker.pass`` span, its execution metrics and its result meta -- the
+  worker itself only claims, renews, waits and reports;
 * a worker killed mid-point loses nothing but its lease: once the ttl
   lapses, any surviving (or restarted) worker claims the point again and
   re-executes it.  A point that *raises* releases its lease for siblings to
@@ -44,9 +52,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.api.engine import Engine, StageParams, SweepPoint, cache_key, upstream_meta
+from repro.api.engine import Engine, StageParams, SweepPoint, _error_text, _Task
 from repro.api.experiment import Experiment, get_experiment
-from repro.api.results import ResultSet
 from repro.api.sweep import SweepSpec
 from repro.dist.backoff import Backoff
 from repro.dist.shards import ShardPlan
@@ -67,14 +74,15 @@ from repro.obs.trace import trace_span
 class LeaseHeartbeat:
     """Background renewal of claim leases while their points execute.
 
-    Entered around one point's execution (or one *batch* of points --
-    ``path`` may be a list): a daemon thread calls ``store.renew`` every
-    ``ttl / 2`` seconds, so the leases never expire under a live worker no
-    matter how slow the work is, while a killed worker's leases still lapse
-    within one ttl.  If a renewal reports a lease lost (published, pruned,
-    or taken over), that path drops out of the heartbeat -- the eventual
-    publish is atomic and content-addressed, so the worst case is
-    duplicated work, never a corrupt store.
+    Entered around one claim pass of the worker (``path`` may be a list:
+    every lease the pass acquired) or one service job: a daemon thread calls
+    ``store.renew`` every ``ttl / 2`` seconds, so the leases never expire
+    under a live worker no matter how slow the work is, while a killed
+    worker's leases still lapse within one ttl.  If a renewal reports a
+    lease lost (published, released, pruned, or taken over), that path
+    drops out of the heartbeat -- the eventual publish is atomic and
+    content-addressed, so the worst case is duplicated work, never a
+    corrupt store.
     """
 
     def __init__(
@@ -90,11 +98,6 @@ class LeaseHeartbeat:
         self.ttl = ttl
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-
-    @property
-    def path(self) -> str:
-        """The single guarded path (for the one-point entry the loop uses)."""
-        return self.paths[0]
 
     def _beat(self) -> None:
         live = list(self.paths)
@@ -187,7 +190,6 @@ def run_worker(
     poll_interval: float = 0.2,
     max_wait: float | None = None,
     stage_params: StageParams | None = None,
-    claim_batch: int | None = None,
 ) -> WorkerReport:
     """Attach to a store and drive a sweep's pending points to completion.
 
@@ -208,9 +210,10 @@ def run_worker(
         Identity used for leases; defaults to ``<hostname>-<pid>``.
     lease_ttl:
         Seconds a claimed point stays reserved between heartbeats.  A live
-        worker renews its lease at the ttl's half-way mark, so the ttl only
-        bounds how long a *crashed* worker's point stays blocked -- it does
-        not have to exceed the slowest single point.
+        worker renews every lease of its current pass -- running or still
+        queued -- at the ttl's half-way mark, so the ttl only bounds how
+        long a *crashed* worker's points stay blocked -- it does not have
+        to exceed the slowest single point.
     shard:
         Optional static slice; the worker then ignores points owned by other
         shards entirely.
@@ -232,16 +235,6 @@ def run_worker(
         Per-experiment parameter overrides for upstream pipeline stages of a
         composite experiment (a study's ``params``); every cooperating
         worker must agree on them, like on ``spec``.
-    claim_batch:
-        How many leases to request per ``claim_many`` round trip.  The
-        default (``None``) adapts: each pass asks for half the remaining
-        points (at least one), so a lone worker drains a sweep in O(log N)
-        claim round trips while cooperating workers still interleave
-        instead of one worker fencing off the whole sweep up front.  Points
-        past the batch come back :data:`~repro.dist.store.CLAIM_SKIPPED`
-        and are simply re-claimed on the next pass (even with
-        ``wait=False`` -- skipped is this worker's own deferral, not
-        another worker's lease).
     """
     experiment = name if isinstance(name, Experiment) else get_experiment(name)
     worker = worker_id if worker_id is not None else default_worker_id()
@@ -268,36 +261,32 @@ def run_worker(
                 )
             )
 
-    # Upstream pipeline stages resolve through the same store, so N workers
-    # share upstream results exactly like downstream ones (first publisher
-    # wins; a concurrent compute wastes work but cannot corrupt anything),
-    # and the entry keys chain through the upstream content hashes -- the
-    # same stage-aware keys a serial Engine run would use, which is what
-    # makes a worker-merged pipeline run bit-identical to a serial one.
-    upstream_engine = Engine(store=store)
-    memo: dict[str, Any] = {}
-    inputs_by_index: dict[int, dict[str, ResultSet]] = {}
+    # Leased points execute, and publish, through the engine's own
+    # invocation path: batch stacking with per-point fallback, spans,
+    # metrics and meta are the engine's, so a worker-published entry is
+    # exactly what an Engine sweep under the batch executor writes.  Upstream
+    # pipeline stages resolve through the same store in one staged call,
+    # so N workers share upstream results exactly like downstream ones
+    # (first publisher wins; a concurrent compute wastes work but cannot
+    # corrupt anything), and the entry keys chain through the upstream
+    # content hashes.
+    engine = Engine(store=store, executor="batch")
+    inputs, failures = engine._stage_upstreams(
+        experiment, [resolved[index] for index in indices], True, stage_params, {}
+    )
+    tasks: dict[int, _Task] = {}
     paths: dict[int, str] = {}
-    for index in indices:
-        try:
-            inputs, upstream_hashes = upstream_engine.resolve_inputs(
-                experiment, resolved[index], stage_params, memo=memo
-            )
-        except Exception as error:
+    upstream: dict[int, dict[str, str]] = {}
+    for index, point_inputs, failure in zip(indices, inputs, failures):
+        if failure is not None:
             failed.append(index)
-            emit(
-                index,
-                result=None,
-                error=f"upstream: {type(error).__name__}: {error}",
-            )
+            emit(index, result=None, error=f"upstream: {_error_text(failure)}")
             continue
-        inputs_by_index[index] = inputs
-        paths[index] = store.entry_path(
-            experiment.name,
-            cache_key(
-                experiment.name, experiment.version, resolved[index], upstream_hashes
-            ),
-        )
+        tasks[index] = (resolved[index], point_inputs)
+        upstream[index] = {
+            inject: result.content_hash for inject, result in point_inputs.items()
+        }
+        paths[index] = engine._cache_path(experiment, resolved[index], upstream[index])
 
     remaining = [index for index in indices if index in paths]
     deadline = None if max_wait is None else time.monotonic() + max_wait
@@ -310,40 +299,19 @@ def run_worker(
     claim_round_trips = 0
     store_round_trips = 0
 
-    def build_meta(index: int, wall_time_s: float) -> dict[str, Any]:
-        meta: dict[str, Any] = {
-            "experiment": experiment.name,
-            "version": experiment.version,
-            "params": dict(resolved[index]),
-            "executor": "worker",
-            "worker_id": worker,
-            "wall_time_s": wall_time_s,
-        }
-        if inputs_by_index[index]:
-            meta["upstream"] = upstream_meta(
-                experiment,
-                {
-                    inject: upstream_result.content_hash
-                    for inject, upstream_result in inputs_by_index[index].items()
-                },
-            )
-        return meta
-
     while remaining:
         progressed = False
         busy: list[int] = []
         skipped: list[int] = []
         acquired: list[int] = []
-        batch = (
-            claim_batch
-            if claim_batch is not None
-            else max(1, (len(remaining) + 1) // 2)
-        )
+        # Each pass leases half the remaining points: a lone worker drains
+        # the sweep in O(log N) claim round trips, while cooperating
+        # workers still interleave instead of one fencing off everything.
         statuses = store.claim_many(
             [paths[index] for index in remaining],
             worker,
             lease_ttl,
-            max_acquire=batch,
+            max_acquire=max(1, (len(remaining) + 1) // 2),
         )
         claim_round_trips += 1
         store_round_trips += 1
@@ -354,12 +322,10 @@ def run_worker(
         for index, status in zip(remaining, statuses):
             if status == CLAIM_BUSY:
                 busy.append(index)
-                continue
-            if status == CLAIM_SKIPPED:
+            elif status == CLAIM_SKIPPED:
                 skipped.append(index)
-                continue
-            if status == CLAIM_DONE:
-                result = store.load(paths[index])
+            elif status == CLAIM_DONE:
+                result = engine._cache_load(paths[index])
                 store_round_trips += 1
                 if result is None:
                     # The entry vanished between claim and load (concurrent
@@ -370,96 +336,48 @@ def run_worker(
                     continue
                 progressed = True
                 already_done.append(index)
-                result.meta["cache_hit"] = True
                 emit(index, result=result, cache_hit=True)
-                continue
-            assert status == CLAIM_ACQUIRED
-            acquired.append(index)
+            else:
+                assert status == CLAIM_ACQUIRED
+                acquired.append(index)
 
-        # Acquired points whose experiment declares a batch_fn (and which
-        # have no upstream inputs -- batch_fn is a self-contained contract)
-        # run as ONE stacked evaluation; the rest run point by point.  A
-        # batch failure falls back to the per-point path so one poisoned
-        # point cannot take its whole batch down with it.
-        serial = list(acquired)
-        batchable = (
-            [index for index in acquired if not inputs_by_index[index]]
-            if experiment.batch_fn is not None
-            else []
-        )
-        if len(batchable) > 1:
-            batch_start = time.perf_counter()
-            try:
-                # One heartbeat renews every lease in the batch while it runs.
-                with LeaseHeartbeat(
-                    store, [paths[index] for index in batchable], worker, lease_ttl
-                ), trace_span(
-                    "worker.batch",
-                    experiment=experiment.name,
-                    worker=worker,
-                    n_points=len(batchable),
-                ):
-                    records_list = experiment.run_batch(
-                        [resolved[index] for index in batchable]
-                    )
-            except Exception:
-                records_list = None  # fall through to the per-point path
-            if records_list is not None:
-                progressed = True
-                per_point_wall = (time.perf_counter() - batch_start) / len(batchable)
-                batched = set(batchable)
-                serial = [index for index in serial if index not in batched]
-                for index, records in zip(batchable, records_list):
-                    result = ResultSet.from_records(
-                        records, meta=build_meta(index, per_point_wall)
-                    )
-                    store.publish(paths[index], result)
-                    store_round_trips += 1
-                    executed.append(index)
-                    emit(index, result=result)
-
-        for index in serial:
+        if acquired:
             progressed = True
-            point_start = time.perf_counter()
-            try:
-                # The heartbeat renews the lease while the point runs, so a
-                # slower-than-ttl point is not re-claimed by a sibling.
-                with LeaseHeartbeat(
-                    store, paths[index], worker, lease_ttl
-                ), trace_span(
-                    "worker.point",
-                    experiment=experiment.name,
-                    worker=worker,
-                    index=index,
+            # One heartbeat renews every lease of the pass from before the
+            # first point runs, so points queued behind slow ones keep
+            # their leases too.
+            with trace_span(
+                "worker.pass",
+                worker=worker,
+                experiment=experiment.name,
+                n_points=len(acquired),
+            ), LeaseHeartbeat(
+                store, [paths[index] for index in acquired], worker, lease_ttl
+            ):
+                for index, result, error in engine._execute_and_publish(
+                    experiment, tasks, acquired, paths, upstream
                 ):
-                    records = experiment.run_with_inputs(
-                        inputs_by_index[index], resolved[index]
-                    )
-            except Exception as error:
-                # Release so siblings may retry; this worker will not.  The
-                # tombstone keeps the failure inspectable after every worker
-                # exited (`cache prune --gc` collects it).
-                message = f"{type(error).__name__}: {error}"
-                store.release(paths[index], worker)
-                store.record_failure(paths[index], worker, message)
-                store_round_trips += 2
-                failed.append(index)
-                emit(index, result=None, error=message)
-                continue
-            result = ResultSet.from_records(
-                records, meta=build_meta(index, time.perf_counter() - point_start)
-            )
-            store.publish(paths[index], result)
-            store_round_trips += 1
-            executed.append(index)
-            emit(index, result=result)
+                    if error is None:
+                        store_round_trips += 1
+                        executed.append(index)
+                        emit(index, result=result)
+                        continue
+                    # Release so siblings may retry; this worker will not.
+                    # The tombstone keeps the failure inspectable after
+                    # every worker exited (`cache prune --gc` collects it).
+                    message = _error_text(error)
+                    store.release(paths[index], worker)
+                    store.record_failure(paths[index], worker, message)
+                    store_round_trips += 2
+                    failed.append(index)
+                    emit(index, result=None, error=message)
 
         remaining = sorted(busy + skipped)
         if not remaining:
             break
         if skipped:
-            # Skipped points are this worker's own claim_batch deferral, not
-            # another worker's lease: go claim them immediately (even with
+            # Skipped points are this worker's own deferral, not another
+            # worker's lease: go claim them immediately (even with
             # wait=False), no backoff.
             backoff.reset()
             continue

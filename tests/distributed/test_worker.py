@@ -12,13 +12,17 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.api import Engine, ResultSet, SweepSpec, register_experiment, unregister_experiment
-from repro.api.experiment import ParamSpec
+from repro.api.engine import cache_key
+from repro.api.experiment import ParamSpec, get_experiment
 from repro.dist import SharedStore, ShardPlan, run_worker
+
+from store_contract import COORDINATED
 
 SPEC = SweepSpec.grid(length_um=[1.0, 5.0, 10.0, 50.0, 100.0, 500.0])
 
@@ -265,3 +269,48 @@ class TestWorkerCLI:
         serial = Engine().sweep("table_density", SPEC)
         merged = Engine(store=SharedStore(store_dir)).sweep("table_density", SPEC)
         assert merged.content_hash == serial.content_hash
+
+
+@pytest.mark.parametrize("harness", COORDINATED, ids=lambda h: h.name)
+class TestPassHeartbeat:
+    def test_queued_leases_are_renewed_while_an_earlier_point_runs(
+        self, harness, tmp_path
+    ):
+        """A pass leases several points before running the first; the
+        heartbeat must renew the queued ones too, or a sibling re-claims
+        them once the ttl lapses and the point executes twice."""
+        ttl = 0.3
+        store = harness.make(tmp_path)
+        calls = []
+        sibling = {}
+
+        @register_experiment(
+            "dist_worker_slow_first",
+            params=(ParamSpec("x", "float", 1.0, "input"),),
+            replace=True,
+        )
+        def slow_first(x: float):
+            calls.append(x)
+            if x == 1.0:
+                time.sleep(1.5 * ttl)
+                sibling["status"] = store.claim(sibling["path"], "sibling", ttl)
+            return [{"x": x, "y": 2.0 * x}]
+
+        try:
+            experiment = get_experiment("dist_worker_slow_first")
+            queued = experiment.resolve_params({"x": 2.0})
+            sibling["path"] = store.entry_path(
+                experiment.name,
+                cache_key(experiment.name, experiment.version, queued),
+            )
+            spec = SweepSpec.grid(x=[1.0, 2.0, 3.0, 4.0])
+            report = run_worker(
+                experiment, spec, store, worker_id="owner", lease_ttl=ttl,
+                poll_interval=0.01,
+            )
+        finally:
+            unregister_experiment("dist_worker_slow_first")
+        # x=1.0 and x=2.0 were leased in the same (first) pass.
+        assert sibling["status"] == "busy"
+        assert sorted(calls) == [1.0, 2.0, 3.0, 4.0]
+        assert sorted(report.executed) == list(range(len(spec)))

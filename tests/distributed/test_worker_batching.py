@@ -139,17 +139,18 @@ class TestWorkerClaimBudget:
         assert 0 < report.claim_round_trips <= budget
         assert report.store_round_trips <= report.claim_round_trips + n_points
 
-    def test_explicit_claim_batch_of_one_still_completes(
+    def test_no_wait_treats_own_skips_as_progress(
         self, harness, tmp_path, batched_experiment
     ):
-        """claim_batch=1 maximises skips; even with ``wait=False`` the
-        worker must treat its own skips as progress and finish the sweep."""
+        """Adaptive batching skips half the remaining points per pass; even
+        with ``wait=False`` the worker must treat its own skips as progress
+        and finish the sweep within the same claim budget."""
         store = harness.make(tmp_path)
-        report = run_worker(
-            batched_experiment, SPEC, store, wait=False, poll_interval=0.01, claim_batch=1
-        )
-        assert sorted(report.executed) == list(range(len(SPEC)))
-        assert report.claim_round_trips == len(SPEC)
+        report = run_worker(batched_experiment, SPEC, store, wait=False, poll_interval=0.01)
+        n_points = len(SPEC)
+        assert sorted(report.executed) == list(range(n_points))
+        assert not report.abandoned
+        assert 0 < report.claim_round_trips <= math.ceil(math.log2(n_points)) + 2
 
     def test_rejoining_worker_loads_without_claiming_leases(
         self, harness, tmp_path, batched_experiment

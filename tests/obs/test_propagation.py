@@ -141,9 +141,13 @@ class TestServicePropagation:
             names = {span["name"] for span in _ancestors(job_span, by_id)}
             assert "client.submit_sweep" in names
             assert "test.submit" in names
-        for point in (s for s in spans if s["name"] == "worker.point"):
+        # Every executed point runs under its worker's claim pass, inside
+        # the daemon job that leased it.
+        points = [s for s in spans if s["name"] == "engine.point"]
+        assert points
+        for point in points:
             names = {span["name"] for span in _ancestors(point, by_id)}
-            assert "daemon.job" in names
+            assert {"worker.pass", "daemon.job"} <= names
 
     def test_service_job_hashes_match_serial_run(self, tmp_path):
         server = make_server(str(tmp_path / "queue"), port=0)
@@ -185,3 +189,22 @@ class TestWorkerMetrics:
             SPEC
         ) - 1
         reset_metrics()
+
+    def test_worker_executions_are_counted(self, tmp_path):
+        from repro.dist import run_worker
+        from repro.obs.metrics import reset_metrics
+
+        reset_metrics()
+        report = run_worker(
+            "table_density", SPEC, SharedStore(str(tmp_path / "store"))
+        )
+        reset_metrics()
+        assert sorted(report.executed) == list(range(len(SPEC)))
+        executed = sum(
+            value
+            for series, value in report.metrics["counters"].items()
+            if series.startswith("repro_points_executed_total")
+        )
+        assert executed == len(SPEC)
+        wall = report.metrics["histograms"]["repro_point_wall_seconds"]
+        assert wall["count"] == len(SPEC)
