@@ -58,10 +58,10 @@ def test_engine_sweep_process_pool(once, benchmark, serial_reference):
 
 def test_sweep_point_caching_amortises_rerun(once, benchmark, tmp_path):
     """Second sweep through a warm cache must be pure cache hits."""
-    warm = Engine(cache_dir=str(tmp_path))
+    warm = Engine(store=str(tmp_path))
     warm.sweep("fig12", SPEC, base_params=BASE_PARAMS)
 
-    engine = Engine(cache_dir=str(tmp_path))
+    engine = Engine(store=str(tmp_path))
     result = once(benchmark, engine.sweep, "fig12", SPEC, base_params=BASE_PARAMS)
     assert engine.cache_hits == len(SPEC)
     assert engine.cache_misses == 0

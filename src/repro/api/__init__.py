@@ -7,7 +7,7 @@ programmatically::
 
     from repro.api import Engine, SweepSpec
 
-    engine = Engine(cache_dir=tempfile.mkdtemp())
+    engine = Engine(store=tempfile.mkdtemp())
     table = engine.run("table_density")             # one experiment, memoised
     print(table.column("density_per_nm2"))
 
@@ -19,7 +19,8 @@ programmatically::
 :class:`~repro.api.results.ResultSet`; ``Engine.iter_sweep`` streams one
 :class:`~repro.api.engine.SweepPoint` per sweep point as it completes, and a
 failed point keeps its completed siblings (``SweepError.partial``).  The
-on-disk cache is managed through :mod:`repro.api.cache`.
+result store (``store=``: a directory or ``sqlite:///path.db``) is managed
+through :mod:`repro.api.cache`.
 
 Experiments compose into pipelines: a ``consumes=`` declaration names the
 upstream experiments whose ResultSets are injected into the call, with
@@ -77,9 +78,7 @@ from repro.api.cache import (
     CacheStats,
     cache_stats,
     clear_cache,
-    gc_store,
     prune_cache,
-    scan_cache,
 )
 
 __all__ = [
@@ -110,9 +109,7 @@ __all__ = [
     "cache_stats",
     "clear_cache",
     "content_hash",
-    "gc_store",
     "prune_cache",
-    "scan_cache",
     "ensure_registered",
     "get_experiment",
     "get_study",

@@ -1,32 +1,31 @@
-"""Inspection and eviction of the engine's on-disk result cache.
+"""Inspection and eviction of the engine's result cache.
 
-:class:`~repro.api.engine.Engine` memoises experiment results as
-``<experiment>-<key16>.json`` files (the key is the content-addressed
-SHA-256 of experiment name, version and resolved parameters).  This module
-is the management surface over that store:
+:class:`~repro.api.engine.Engine` memoises experiment results in a result
+store (:mod:`repro.dist.store`): one ``<experiment>-<key16>.json`` entry per
+content-addressed invocation.  This module is the maintenance policy over
+any store:
 
-* :func:`scan_cache` -- enumerate entries with their provenance metadata,
 * :func:`cache_stats` -- per-experiment aggregates (entries, bytes, ages),
 * :func:`clear_cache` -- delete every entry,
 * :func:`prune_cache` -- delete entries matching an experiment name, an
   experiment version and/or a minimum age (useful after bumping an
   experiment's ``version``, which orphans the old entries forever),
-* :func:`gc_store` -- garbage-collect the *bookkeeping residue* of
-  distributed runs: failure tombstones (``<entry>.failed``) and the expired
-  or orphaned claim leases (``<entry>.lease``) crashed workers leave behind
-  (``python -m repro cache prune --gc`` on the shell).
+* :func:`parse_age` -- the CLI's ``30s`` / ``12h`` / ``7d`` age spelling.
 
-Every function accepts either a directory path (the classic spelling) or
-any :class:`~repro.dist.store.ResultStore` instance -- the maintenance
-logic goes through the store seam (``entries`` / ``remove_entries`` /
-``collect_garbage``), so a :class:`~repro.dist.sqlstore.SqliteStore` is
-inspected and pruned with exactly the same calls, just against indexed
-rows instead of files.  For directories, only files matching the engine's
-own naming pattern are ever touched, so a cache directory that also holds
-exported results is safe.  Destructive operations (``clear`` / ``prune``)
-run under the store's maintenance lock, so evicting entries from a
-*shared* store that live workers are publishing into cannot interleave with
-a publish or with claim-lease bookkeeping; each removed entry's stale
+Every function accepts a directory path, a ``sqlite:`` URL or a
+:class:`~repro.dist.store.ResultStore` instance, resolved once through
+:func:`repro.dist.sqlstore.resolve_store`; the work goes through the store
+seam (``entries`` / ``remove_entries`` / ``lock``), so a
+:class:`~repro.dist.sqlstore.SqliteStore` is inspected and pruned with
+exactly the same calls.  Listing entries is ``store.entries()`` and
+collecting crashed-worker residue (tombstones, orphaned leases) is
+``store.collect_garbage()``.  For directories, only files matching the
+engine's own naming pattern are ever touched, so a cache directory that
+also holds exported results is safe, and maintenance of a directory that
+does not exist creates nothing.  Destructive operations (``clear`` /
+``prune``) run under the store's maintenance lock, so evicting entries from
+a store that live workers are publishing into cannot interleave with a
+publish or with claim-lease bookkeeping; each removed entry's stale
 ``.lease`` file (if any) is disposed of along with it.  The same operations
 are exposed on the shell as ``python -m repro cache {stats,clear,prune}``.
 
@@ -37,28 +36,22 @@ Quick start::
     from repro.api import Engine
     from repro.api.cache import cache_stats, prune_cache
 
-    cache_dir = tempfile.mkdtemp()
-    Engine(cache_dir=cache_dir).run("table_density")
+    store = tempfile.mkdtemp()
+    Engine(store=store).run("table_density")
 
-    stats = cache_stats(cache_dir)
+    stats = cache_stats(store)
     print(stats.n_entries, stats.experiments())
 
-    removed = prune_cache(cache_dir, experiment="table_density")
+    removed = prune_cache(store, experiment="table_density")
     print(len(removed))
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import re
 import time
 from dataclasses import dataclass
 from typing import Any
-
-# The engine's cache file naming: "<experiment>-<first 16 hex of key>.json".
-_ENTRY_PATTERN = re.compile(r"(?P<experiment>.+)-(?P<key>[0-9a-f]{16})\.json$")
 
 # Accepted --older-than suffixes, in seconds.
 _AGE_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
@@ -88,9 +81,9 @@ class CacheEntry:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Aggregate view over a cache directory's entries."""
+    """Aggregate view over a store's entries."""
 
-    cache_dir: str
+    directory: str
     entries: tuple[CacheEntry, ...]
 
     @property
@@ -113,92 +106,27 @@ class CacheStats:
         return groups
 
 
-def _as_store(target: Any) -> Any:
-    """Coerce a maintenance target to a store; ``None`` means nothing to do.
+def cache_stats(target: Any) -> CacheStats:
+    """Aggregate statistics over a store (or its path / URL)."""
+    # repro.dist is imported on use: `import repro.api` stays free of it.
+    from repro.dist.sqlstore import resolve_store
 
-    A directory path becomes a :class:`~repro.dist.store.SharedStore` (its
-    maintenance lock makes destructive operations safe against live
-    workers); a missing directory or ``None`` stays ``None``; store
-    instances pass through unchanged.
-    """
-    if target is None or isinstance(target, str):
-        if target is None or not os.path.isdir(target):
-            return None
-        from repro.dist.store import SharedStore
-
-        return SharedStore(target)
-    return target
+    store = resolve_store(target)
+    return CacheStats(directory=store.directory, entries=tuple(store.entries()))
 
 
-def scan_cache(cache_dir: str | Any | None, read_meta: bool = True) -> list[CacheEntry]:
-    """Enumerate the cache entries of a directory or store, sorted by path.
-
-    A missing or ``None`` directory yields an empty list (a cache that was
-    never written is just empty).  Non-entry files are ignored; entries whose
-    JSON cannot be read still appear, with ``version``/``params`` of ``None``.
-    ``read_meta=False`` skips parsing the entry payloads entirely (they can
-    be large) for callers that only need the file inventory.  A
-    :class:`~repro.dist.store.ResultStore` target is scanned through its own
-    :meth:`~repro.dist.store.ResultStore.entries` (for a sqlite store that
-    is an indexed metadata query -- payload blobs stay untouched).
-    """
-    if cache_dir is not None and not isinstance(cache_dir, str):
-        return cache_dir.entries(read_meta=read_meta)
-    if cache_dir is None or not os.path.isdir(cache_dir):
-        return []
-    entries: list[CacheEntry] = []
-    for filename in sorted(os.listdir(cache_dir)):
-        match = _ENTRY_PATTERN.fullmatch(filename)
-        if match is None:
-            continue
-        path = os.path.join(cache_dir, filename)
-        try:
-            stat = os.stat(path)
-        except OSError:
-            continue  # deleted concurrently
-        version: str | None = None
-        params: dict[str, Any] | None = None
-        if read_meta:
-            try:
-                with open(path) as handle:
-                    meta = json.load(handle).get("meta", {})
-                version = meta.get("version")
-                params = meta.get("params")
-            except (OSError, json.JSONDecodeError, AttributeError):
-                pass  # corrupt entry: keep it listed so prune/clear can remove it
-        entries.append(
-            CacheEntry(
-                path=path,
-                experiment=match.group("experiment"),
-                key=match.group("key"),
-                version=version,
-                params=params,
-                size_bytes=stat.st_size,
-                mtime=stat.st_mtime,
-            )
-        )
-    return entries
-
-
-def cache_stats(cache_dir: str | Any | None) -> CacheStats:
-    """Aggregate statistics over a cache directory or store."""
-    if cache_dir is None or isinstance(cache_dir, str):
-        directory = cache_dir or ""
-    else:
-        directory = cache_dir.directory
-    return CacheStats(cache_dir=directory, entries=tuple(scan_cache(cache_dir)))
-
-
-def clear_cache(cache_dir: str | Any | None) -> int:
+def clear_cache(target: Any) -> int:
     """Delete every cache entry; returns the number of entries removed.
 
     Holds the store's maintenance lock for the scan + removal, so concurrent
     writers (distributed workers publishing into a shared store) are never
     interleaved with the eviction.
     """
-    store = _as_store(cache_dir)
-    if store is None:
-        return 0
+    from repro.dist.sqlstore import resolve_store
+
+    store = resolve_store(target)
+    if not store.entries(read_meta=False):
+        return 0  # nothing to evict: take no lock, so a missing directory stays missing
     with store.lock():
         return store.remove_entries(
             [entry.path for entry in store.entries(read_meta=False)]
@@ -206,7 +134,7 @@ def clear_cache(cache_dir: str | Any | None) -> int:
 
 
 def prune_cache(
-    cache_dir: str | Any | None,
+    target: Any,
     experiment: str | None = None,
     version: str | None = None,
     older_than: float | None = None,
@@ -246,13 +174,16 @@ def prune_cache(
         # NaN must not slip through: every `age < NaN` comparison is False,
         # which would silently match (and delete) every entry.
         raise ValueError("older_than must be finite and non-negative")
+    from repro.dist.sqlstore import resolve_store
+
+    store = resolve_store(target)
 
     def match() -> list[CacheEntry]:
         matched = []
         # Only the version filter consults the entry metadata; experiment
         # comes from the filename and age from mtime, so skip the
         # (potentially large) payload parse unless it is actually needed.
-        for entry in scan_cache(cache_dir, read_meta=version is not None):
+        for entry in store.entries(read_meta=version is not None):
             if experiment is not None and entry.experiment != experiment:
                 continue
             if (
@@ -266,44 +197,13 @@ def prune_cache(
             matched.append(entry)
         return matched
 
-    store = _as_store(cache_dir)
-    if dry_run or store is None:
-        return match()
+    matched = match()
+    if dry_run or not matched:
+        return matched  # nothing to evict: a missing directory stays missing
     with store.lock():
         matched = match()
         store.remove_entries([entry.path for entry in matched])
     return matched
-
-
-def gc_store(
-    cache_dir: str | Any | None,
-    now: float | None = None,
-    dry_run: bool = False,
-) -> list[str]:
-    """Garbage-collect crashed-worker residue from a (shared) store.
-
-    Removes, and returns the identifiers of:
-
-    * **failure tombstones** (``<entry>.failed``): a worker's record that a
-      point raised.  Collecting one makes the failure invisible to future
-      inspection, so run GC once the failures have been looked at (a later
-      *successful* publish of the point removes its tombstone by itself);
-    * **orphaned leases** (``<entry>.lease``): claim leases that are expired
-      (their worker died mid-point -- a live worker renews via heartbeat),
-      corrupt, or attached to an already-published entry.  Live, unexpired
-      leases of pending entries are never touched, so GC is safe against
-      running workers.
-
-    Entries themselves are never removed -- that is :func:`prune_cache` /
-    :func:`clear_cache`.  The work is delegated to the store's
-    :meth:`~repro.dist.store.ResultStore.collect_garbage` -- a locked
-    directory sweep for file stores, a pair of conditional ``DELETE``
-    statements for a sqlite store.
-    """
-    store = _as_store(cache_dir)
-    if store is None:
-        return []
-    return store.collect_garbage(now=now, dry_run=dry_run)
 
 
 def parse_age(text: str) -> float:

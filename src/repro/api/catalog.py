@@ -31,7 +31,7 @@ Every figure, table and extension study of the reproduction is a registered
 experiment with a typed parameter surface.  Any of them runs through the
 engine and its on-disk cache:
 
-    python -m repro run <name> [-p key=value ...] [--cache-dir .repro-cache]
+    python -m repro run <name> [-p key=value ...] [--store .repro-cache]
     python -m repro sweep <name> --grid key=v1,v2 [--executor thread|process]
     python -m repro study run <study>    # composite pipelines (consumes DAGs)
     python -m repro campaign run <name> --objective col   # adaptive search

@@ -81,8 +81,7 @@ Subcommands
     takes the store lock, so it is safe against live workers.  ``prune
     --gc`` additionally garbage-collects failure tombstones and the
     expired/orphaned claim leases crashed workers leave behind.  All cache
-    subcommands take ``--store`` (directory or ``sqlite:///path.db``) as an
-    alternative to ``--cache-dir``.
+    subcommands take ``--store`` (directory or ``sqlite:///path.db``).
 ``perf-report``
     Render the committed perf trajectory (``benchmarks/perf/BENCH_*.json``)
     with per-case speedup deltas; ``--check`` fails on regressions;
@@ -132,7 +131,7 @@ Examples::
     python -m repro migrate .repro-cache sqlite:///catalog.db
     python -m repro query --store sqlite:///catalog.db \\
         --where "contact_resistance>=250e3" --sort timestamp --desc
-    python -m repro cache stats --cache-dir .repro-cache
+    python -m repro cache stats --store .repro-cache
     python -m repro cache prune --experiment fig12 --older-than 7d
     python -m repro cache prune --gc
     python -m repro perf-report --check --plot trajectory.svg
@@ -193,13 +192,22 @@ def build_parser() -> argparse.ArgumentParser:
     describe = subparsers.add_parser("describe", help="show an experiment's parameters")
     describe.add_argument("name", help="experiment name (see `list`)")
 
-    def add_execution_options(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--cache-dir", default=None, help="on-disk memoisation cache directory")
-        sub.add_argument(
-            "--store", default=None, metavar="SPEC",
-            help="memoise through a result store instead of --cache-dir: a "
-            "lock-safe shared directory or sqlite:///path.db",
+    def add_store_option(sub: argparse.ArgumentParser, default: str | None = None) -> None:
+        # --cache-dir is a second spelling of --store (same destination).
+        text = "result store: a directory or sqlite:///path.db"
+        if default is not None:
+            text += f" (default: {default})"
+        spellings = sub.add_mutually_exclusive_group()
+        spellings.add_argument("--store", default=default, metavar="SPEC", help=text)
+        spellings.add_argument(
+            "--cache-dir", dest="store", default=default, metavar="SPEC",
+            help="same as --store",
         )
+
+    def add_execution_options(
+        sub: argparse.ArgumentParser, store_default: str | None = None
+    ) -> None:
+        add_store_option(sub, store_default)
         sub.add_argument("--no-cache", action="store_true", help="bypass the cache")
         sub.add_argument("--csv", default=None, metavar="PATH", help="write records as CSV")
         sub.add_argument("--json", default=None, metavar="PATH", help="write the ResultSet as JSON")
@@ -322,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="partition each batch across N cooperating workers "
-        "(needs --store)",
+        "sharing the --store",
     )
     campaign_run.add_argument(
         "--report", default=None, metavar="PATH", dest="report_path",
@@ -333,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-progress", action="store_true",
         help="suppress the per-round progress lines on stderr",
     )
-    add_execution_options(campaign_run)
+    # A campaign without persistence would re-execute its whole history
+    # every round, so it memoises into the standard cache directory.
+    add_execution_options(campaign_run, store_default=DEFAULT_CACHE_DIR)
 
     worker = subparsers.add_parser(
         "worker", help="claim and execute a sweep's pending points from a shared store"
@@ -562,27 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
     cache = subparsers.add_parser("cache", help="inspect or evict the result cache")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
 
-    def add_cache_dir(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--cache-dir", default=DEFAULT_CACHE_DIR,
-            help=f"cache directory (default: {DEFAULT_CACHE_DIR})",
-        )
-        sub.add_argument(
-            "--store", default=None, metavar="SPEC",
-            help="operate on a result store instead: a shared directory or "
-            "sqlite:///path.db",
-        )
-
     cache_stats = cache_sub.add_parser("stats", help="per-experiment entry counts and sizes")
-    add_cache_dir(cache_stats)
-
     cache_clear = cache_sub.add_parser("clear", help="delete every cache entry")
-    add_cache_dir(cache_clear)
-
     cache_prune = cache_sub.add_parser(
         "prune", help="delete entries matching experiment/version/age filters"
     )
-    add_cache_dir(cache_prune)
+    for sub in (cache_stats, cache_clear, cache_prune):
+        add_store_option(sub, DEFAULT_CACHE_DIR)
     cache_prune.add_argument("--experiment", default=None, help="only this experiment's entries")
     cache_prune.add_argument("--version", default=None, help="only entries of this experiment version")
     cache_prune.add_argument(
@@ -745,19 +741,8 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolved_store(args: argparse.Namespace):
-    """The --store of run/sweep/study as a ResultStore (None without one)."""
-    if getattr(args, "store", None) is None:
-        return None
-    if getattr(args, "cache_dir", None) is not None:
-        raise ValueError("pass either --store or --cache-dir, not both")
-    from repro.dist import resolve_store
-
-    return resolve_store(args.store)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    engine = Engine(cache_dir=args.cache_dir, store=_resolved_store(args))
+    engine = Engine(store=args.store)
     result = engine.run(
         args.name,
         params=_coerced_overrides(args.name, args.param),
@@ -838,8 +823,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     print(f"sweep: {spec.mode} over {spec.axis_names}, {n_points} points{shard_note}")
     with Engine(
-        cache_dir=args.cache_dir,
-        store=_resolved_store(args),
+        store=args.store,
         executor=args.executor,
         max_workers=args.workers,
         profile=args.profile,
@@ -873,12 +857,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "replay); --no-cache is not supported"
         )
     spec = _parsed_spec(args)
-    # A campaign without persistence would re-execute its whole history
-    # every round, so default to the standard cache directory.
-    cache_dir = args.cache_dir
-    if cache_dir is None and args.store is None:
-        cache_dir = DEFAULT_CACHE_DIR
-    engine = Engine(cache_dir=cache_dir, store=_resolved_store(args))
+    engine = Engine(store=args.store)
 
     def on_round(n_visited: int, budget: int) -> None:
         if not args.no_progress:
@@ -1229,8 +1208,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         )
         on_result = _progress_printer(n_points)
     with Engine(
-        cache_dir=args.cache_dir,
-        store=_resolved_store(args),
+        store=args.store,
         executor=args.executor,
         max_workers=args.workers,
     ) as engine:
@@ -1384,16 +1362,13 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.api.cache import cache_stats, clear_cache, parse_age, prune_cache
+    from repro.dist import resolve_store
 
-    target = args.cache_dir
-    if getattr(args, "store", None) is not None:
-        from repro.dist import resolve_store
-
-        target = resolve_store(args.store)
-    label = target if isinstance(target, str) else target.directory
+    store = resolve_store(args.store)
+    label = store.directory
 
     if args.cache_command == "stats":
-        stats = cache_stats(target)
+        stats = cache_stats(store)
         rows = [
             {
                 "experiment": name,
@@ -1415,13 +1390,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
 
     if args.cache_command == "clear":
-        removed = clear_cache(target)
+        removed = clear_cache(store)
         print(f"removed {removed} cache entries from {label}")
         return 0
 
     # prune
-    from repro.api.cache import gc_store
-
     verb = "would remove" if args.dry_run else "removed"
     has_criteria = (
         args.experiment is not None
@@ -1432,7 +1405,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         # Without criteria prune_cache raises its usual guidance error; --gc
         # alone is a pure bookkeeping collection with no entry eviction.
         matched = prune_cache(
-            target,
+            store,
             experiment=args.experiment,
             version=args.version,
             older_than=None if args.older_than is None else parse_age(args.older_than),
@@ -1444,7 +1417,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             version = "" if entry.version is None else f" (version {entry.version})"
             print(f"  {entry.experiment}{version} {entry.path}")
     if args.gc:
-        collected = gc_store(target, dry_run=args.dry_run)
+        collected = store.collect_garbage(dry_run=args.dry_run)
         print(
             f"{verb} {len(collected)} tombstone/lease records from {label}"
         )

@@ -45,12 +45,11 @@ the key additionally chains the *content hashes* of the consumed upstream
 ResultSets, so changing an upstream parameter invalidates exactly the
 dependent downstream entries while downstream-only changes replay every
 upstream stage from cache.  Result I/O goes through a
-pluggable :class:`~repro.dist.store.ResultStore` -- ``cache_dir=`` is
-shorthand for a :class:`~repro.dist.store.LocalStore`, and a
-:class:`~repro.dist.store.SharedStore` makes the same directory safe to
-share between machines (see :mod:`repro.dist`).  All cache I/O happens in
-the coordinating process -- pool workers only compute -- which keeps even
-the local store free of write races.  Cache inspection and eviction live in
+pluggable :class:`~repro.dist.store.ResultStore` -- ``store=`` takes a
+directory path (a :class:`~repro.dist.store.SharedStore`, safe to share
+between machines; see :mod:`repro.dist`), a ``sqlite:///path.db`` URL or a
+store instance.  All cache I/O happens in the coordinating process -- pool
+workers only compute.  Cache inspection and eviction live in
 :mod:`repro.api.cache` (``python -m repro cache`` on the shell).
 
 Sweeps can additionally be statically partitioned across machines with a
@@ -281,19 +280,15 @@ class Engine:
 
     Parameters
     ----------
-    cache_dir:
-        Directory for the on-disk result cache; ``None`` disables caching.
-        Created on first write.  Shorthand for
-        ``store=LocalStore(cache_dir)``.
     store:
-        A :class:`~repro.dist.store.ResultStore` to memoise through instead
-        of ``cache_dir`` (pass one or the other, not both).  A
-        :class:`~repro.dist.store.SharedStore` here makes the engine safe to
-        point at a directory that distributed workers are writing into
-        concurrently.  A string is resolved like the CLI's ``--store``
-        option: ``"sqlite:///cache.db"`` opens a
-        :class:`~repro.dist.sqlstore.SqliteStore`, a directory path a
-        :class:`~repro.dist.store.SharedStore`.
+        The result store to memoise through; ``None`` (default) disables
+        caching.  A string is resolved like the CLI's ``--store`` option
+        (:func:`~repro.dist.sqlstore.resolve_store`): a directory path
+        opens a :class:`~repro.dist.store.SharedStore` (created on first
+        write, safe to share with distributed workers writing into it
+        concurrently), ``"sqlite:///cache.db"`` a
+        :class:`~repro.dist.sqlstore.SqliteStore`.  A
+        :class:`~repro.dist.store.ResultStore` instance is used as is.
     executor:
         ``"serial"`` (default), ``"thread"``, ``"process"`` or ``"batch"``
         -- how sweep points are fanned out.  ``"batch"`` executes in the
@@ -340,11 +335,10 @@ class Engine:
 
     def __init__(
         self,
-        cache_dir: str | None = None,
+        store: "ResultStore | str | None" = None,
         executor: str = "serial",
         max_workers: int | None = None,
         chunk_size: int | str | None = None,
-        store: "ResultStore | str | None" = None,
         profile: bool = False,
     ) -> None:
         if executor not in EXECUTORS:
@@ -358,20 +352,11 @@ class Engine:
                 )
         elif chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if store is not None and cache_dir is not None:
-            raise ValueError("pass either cache_dir or store, not both")
-        if isinstance(store, str):
-            # CLI spellings resolve here too: "sqlite:///cache.db" or a
-            # shared directory path (see repro.dist.sqlstore.resolve_store).
+        if store is not None:
             from repro.dist.sqlstore import resolve_store
 
             store = resolve_store(store)
-        if store is None and cache_dir is not None:
-            from repro.dist.store import LocalStore
-
-            store = LocalStore(cache_dir)
         self.store = store
-        self.cache_dir = None if store is None else store.directory
         self.executor = executor
         self.max_workers = max_workers or os.cpu_count() or 1
         self.chunk_size = chunk_size
@@ -497,21 +482,22 @@ class Engine:
     def _cache_store(self, path: str | None, result: ResultSet) -> None:
         if path is None:
             return
-        # The store publishes atomically (tmp file + fsync + os.replace), so
-        # a crashed run never leaves a truncated or corrupt entry behind; a
-        # SharedStore additionally takes the store lock and clears any claim
-        # lease on the entry.
+        # The store publishes atomically (tmp file + fsync + os.replace, or
+        # one sqlite transaction), so a crashed run never leaves a truncated
+        # or corrupt entry behind, and clears any claim lease on the entry.
         self.store.publish(path, result)
 
     def clear_cache(self) -> int:
         """Delete all cache entries; returns the number of files removed.
 
         Only files matching the engine's own ``<experiment>-<hash16>.json``
-        naming are touched, so pointing ``cache_dir`` at a directory that
+        naming are touched, so pointing ``store`` at a directory that
         also holds exported results cannot destroy them.  Finer-grained
         eviction (by experiment, version or age) lives in
         :func:`repro.api.cache.prune_cache`.
         """
+        if self.store is None:
+            return 0
         from repro.api.cache import clear_cache
 
         return clear_cache(self.store)

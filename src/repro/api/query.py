@@ -45,6 +45,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.api.cache import CacheEntry
 from repro.api.results import ResultSet
+from repro.dist.sqlstore import resolve_store
 
 # Longest spellings first so "<=" is not parsed as "<" + "=value".
 _OPERATORS = ("<=", ">=", "!=", "==", "=", "<", ">")
@@ -148,8 +149,8 @@ def query_entries(
     Parameters
     ----------
     store:
-        Any :class:`~repro.dist.store.ResultStore` (or a cache directory
-        path -- :func:`repro.api.cache.scan_cache` semantics apply).
+        Any :class:`~repro.dist.store.ResultStore`, or its ``--store``
+        spelling (a directory path or ``sqlite:///path.db``).
     experiment:
         Keep only entries of this experiment name.
     where:
@@ -171,11 +172,9 @@ def query_entries(
         )
     if limit is not None and limit < 0:
         raise ValueError("limit must be non-negative")
-    from repro.api.cache import scan_cache
-
     timestamp = time.time() if now is None else now
     matched = []
-    for entry in scan_cache(store, read_meta=True):
+    for entry in resolve_store(store).entries(read_meta=True):
         if experiment is not None and entry.experiment != experiment:
             continue
         age = entry.age_seconds(timestamp)
@@ -202,14 +201,16 @@ def export_results(
     ``entry_key`` provenance columns, so records from different experiments
     stay distinguishable after the merge.  Entries that vanished or fail to
     parse since the query are skipped and counted in the result metadata.
+    ``store`` is resolved like :func:`query_entries`'s.
     """
     from repro.api.engine import _tag_record
 
+    store = resolve_store(store)
     records: list[dict[str, Any]] = []
     exported = 0
     skipped = 0
     for entry in entries:
-        result = store.load(entry.path) if hasattr(store, "load") else None
+        result = store.load(entry.path)
         if result is None:
             skipped += 1
             continue

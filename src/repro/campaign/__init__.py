@@ -8,13 +8,13 @@ exactly like a declared sweep).  See ``docs/CAMPAIGNS.md`` for the
 strategy protocol, stopping rules and a worked ``growth_window``
 walkthrough.
 
->>> from repro.api import Engine, SweepSpec
+>>> from repro.api import SweepSpec
 >>> from repro.campaign import Campaign
 >>> space = SweepSpec.grid(temperatures_c=[(t,) for t in range(300, 900, 20)])
 >>> campaign = Campaign(
 ...     "growth_window", space, objective="quality", mode="max",
 ...     strategy="surrogate", batch_size=4, budget=12, seed=7,
-...     engine=Engine(cache_dir="/tmp/campaign-cache"),
+...     store="/tmp/campaign-cache",
 ... )
 >>> report = campaign.run()  # doctest: +SKIP
 >>> report.best_point, report.savings  # doctest: +SKIP

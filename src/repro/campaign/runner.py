@@ -98,9 +98,9 @@ class Campaign:
         Batch-level parallelism; ``> 1`` requires a store-backed engine
         (shared directory or sqlite) and partitions each batch by
         :class:`~repro.dist.shards.ShardPlan`.
-    engine / store / cache_dir:
+    engine / store:
         Pass a configured :class:`Engine`, or let the campaign build one
-        over ``store``/``cache_dir``.
+        over ``store`` (a directory, ``sqlite:///path.db`` or a store).
     """
 
     def __init__(
@@ -123,7 +123,6 @@ class Campaign:
         workers: int = 1,
         engine: Engine | None = None,
         store: Any = None,
-        cache_dir: str | None = None,
     ) -> None:
         if mode not in ("min", "max"):
             raise CampaignError(f"unknown mode {mode!r}; use 'min' or 'max'")
@@ -158,9 +157,9 @@ class Campaign:
         self.workers = workers
 
         if engine is None:
-            engine = Engine(store=store, cache_dir=cache_dir)
-        elif store is not None or cache_dir is not None:
-            raise CampaignError("pass either engine or store/cache_dir, not both")
+            engine = Engine(store=store)
+        elif store is not None:
+            raise CampaignError("pass either engine or store, not both")
         self.engine = engine
         if workers > 1 and engine.store is None:
             raise CampaignError(

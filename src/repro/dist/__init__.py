@@ -4,10 +4,10 @@ The engine's cache key ``(experiment, version, params)`` is fully
 content-addressed, so distributing a sweep across processes or machines
 only needs the three pieces this subpackage provides:
 
-* :mod:`repro.dist.store` -- the :class:`ResultStore` abstraction:
-  :class:`LocalStore` (the classic single-machine cache directory) and
-  :class:`SharedStore` (advisory locking + lease-based claims with
-  stale-lease recovery + atomic publish, safe for N concurrent workers).
+* :mod:`repro.dist.store` -- the :class:`ResultStore` layout and
+  :class:`SharedStore`, the one directory store (advisory locking +
+  lease-based claims with stale-lease recovery + atomic publish, safe for
+  one process or N concurrent workers alike).
 * :mod:`repro.dist.shards` -- :class:`ShardPlan`, a deterministic,
   coordination-free partition of any sweep by stable param-hash, and
   :func:`merge_results`, which reassembles partial results bit-identically
@@ -16,9 +16,10 @@ only needs the three pieces this subpackage provides:
   loop behind ``python -m repro worker``.
 * :mod:`repro.dist.sqlstore` -- :class:`SqliteStore`, the same store seam
   over one sqlite database (transactional claims, indexed metadata, queried
-  by ``python -m repro query``), :func:`resolve_store` for the CLI's
-  ``--store sqlite:///path.db`` spelling and :func:`migrate_store` for
-  moving an existing directory store into a database.
+  by ``python -m repro query``), :func:`resolve_store` for the
+  ``store=`` / ``--store`` spellings (a directory or ``sqlite:///path.db``)
+  and :func:`migrate_store` for moving an existing directory store into a
+  database.
 
 Quick start (two cooperating workers, one shared directory)::
 
@@ -58,7 +59,6 @@ from repro.dist.store import (
     FAILED_SUFFIX,
     LEASE_SUFFIX,
     Lease,
-    LocalStore,
     ResultStore,
     SharedStore,
     StoreLockTimeout,
@@ -78,7 +78,6 @@ __all__ = [
     "LEASE_SUFFIX",
     "Lease",
     "LeaseHeartbeat",
-    "LocalStore",
     "MigrationReport",
     "ResultStore",
     "ShardPlan",

@@ -30,7 +30,7 @@ leases concurrently with the executing thread), WAL journal mode so readers
 never block the writer, and a busy timeout so contending writers queue
 instead of erroring.  The store pickles (connections are dropped and
 reopened lazily), so it crosses ``ProcessPoolExecutor`` boundaries like the
-directory stores do.
+directory store does.
 
 :func:`resolve_store` turns CLI spellings into stores: ``sqlite:///sweep.db``
 (or any existing regular file) becomes a :class:`SqliteStore`, a directory
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sqlite3
 import threading
 import time
@@ -62,6 +61,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, ContextManager, Iterator
 
+from repro.api.cache import CacheEntry
 from repro.api.results import ResultSet
 from repro.dist.store import (
     CLAIM_ACQUIRED,
@@ -69,18 +69,16 @@ from repro.dist.store import (
     CLAIM_DONE,
     CLAIM_SKIPPED,
     DEFAULT_LEASE_TTL,
+    ENTRY_PATTERN,
     FAILED_SUFFIX,
     LEASE_SUFFIX,
     Lease,
-    LocalStore,
     ResultStore,
     SharedStore,
 )
 
 SCHEMA_VERSION = 1
 """Bumped on any incompatible schema change; checked at connect time."""
-
-_ENTRY_PATTERN = re.compile(r"(?P<experiment>.+)-(?P<key>[0-9a-f]{16})\.json$")
 
 
 def _trace_json() -> str | None:
@@ -225,7 +223,7 @@ class SqliteStore(ResultStore):
     # --- layout -------------------------------------------------------------
 
     def entry_path(self, experiment: str, key: str) -> str:
-        """Entry *name* (the row key): same spelling as the directory stores,
+        """Entry *name* (the row key): same spelling as the directory store,
         minus the directory -- nothing downstream treats it as a real file."""
         return f"{experiment}-{key[:16]}.json"
 
@@ -252,7 +250,7 @@ class SqliteStore(ResultStore):
         """
         payload = result.to_json()
         meta = result.meta or {}
-        match = _ENTRY_PATTERN.fullmatch(path)
+        match = ENTRY_PATTERN.fullmatch(path)
         experiment = match.group("experiment") if match else str(
             meta.get("experiment", path)
         )
@@ -521,7 +519,7 @@ class SqliteStore(ResultStore):
         ]
 
     def failures(self) -> list[dict]:
-        """All failure tombstones, shaped like the directory stores'."""
+        """All failure tombstones, shaped like the directory store's."""
         rows = self._connect().execute(
             "SELECT * FROM failures ORDER BY entry"
         ).fetchall()
@@ -548,10 +546,8 @@ class SqliteStore(ResultStore):
             query, name = "SELECT 1 FROM results WHERE entry = ?", path
         return connection.execute(query, (name,)).fetchone() is not None
 
-    def entries(self, read_meta: bool = True) -> list:
+    def entries(self, read_meta: bool = True) -> list[CacheEntry]:
         """All entries from the metadata columns -- payload blobs untouched."""
-        from repro.api.cache import CacheEntry
-
         rows = self._connect().execute(
             """
             SELECT entry, experiment, key, version, params, created_at, size_bytes
@@ -656,16 +652,13 @@ SQLITE_SCHEMES = ("sqlite:///", "sqlite://", "sqlite:")
 absolute (the SQLAlchemy convention)."""
 
 
-def resolve_store(
-    spec: "str | ResultStore", shared: bool = True, timeout: float = 30.0
-) -> ResultStore:
-    """Turn a CLI ``--store`` spelling into a :class:`ResultStore`.
+def resolve_store(spec: "str | ResultStore") -> ResultStore:
+    """Turn a ``store=`` / CLI ``--store`` spelling into a :class:`ResultStore`.
 
     * ``sqlite:///path.db`` / ``sqlite:path.db`` -- a :class:`SqliteStore`;
     * a path to an existing regular *file* -- also a :class:`SqliteStore`
       (a store database someone already created);
-    * anything else -- a directory store: :class:`SharedStore` when
-      ``shared`` (the distributed default), else :class:`LocalStore`.
+    * anything else -- the directory store, :class:`SharedStore`.
 
     Store instances pass through unchanged, so call sites can accept both.
     """
@@ -683,10 +676,10 @@ def resolve_store(
                     path = "/" + path.lstrip("/")
         if not path:
             raise ValueError(f"no database path in store spec {text!r}")
-        return SqliteStore(path, timeout=timeout)
+        return SqliteStore(path)
     if os.path.isfile(text):
-        return SqliteStore(text, timeout=timeout)
-    return SharedStore(text) if shared else LocalStore(text)
+        return SqliteStore(text)
+    return SharedStore(text)
 
 
 @dataclass

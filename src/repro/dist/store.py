@@ -1,19 +1,22 @@
-"""Pluggable result stores: one cache layout, local or shared between machines.
+"""Result stores: the engine's cache layout, safe to share between machines.
 
 The engine memoises experiment results as ``<experiment>-<key16>.json``
-files (see :mod:`repro.api.cache`).  This module turns that directory into a
-*store* abstraction the execution layer is pointed at:
+files in one directory.  This module owns that layout and turns the
+directory into a *store* the execution layer is pointed at:
 
-* :class:`LocalStore` -- the exact single-machine behaviour the engine always
-  had: atomic publish (tmp file + fsync + ``os.replace``), tolerant loads,
-  no coordination.  ``Engine(cache_dir=...)`` is shorthand for
-  ``Engine(store=LocalStore(...))``.
-* :class:`SharedStore` -- the same on-disk format plus the coordination that
-  makes one directory safe to share between independent worker processes or
-  machines (through a shared filesystem): an advisory store lock and
-  lease-based point claims (:meth:`~SharedStore.claim`) with stale-lease
-  recovery, so N workers partition a sweep dynamically without duplicating
-  or clobbering each other's work.
+* :class:`ResultStore` -- the layout itself: entry naming
+  (:data:`ENTRY_PATTERN`), tolerant lock-free loads and the directory walk
+  behind :meth:`~ResultStore.entries`.  The coordinating half of the store
+  contract (``publish``, ``claim``/``claim_many``, ``release``, ``renew``,
+  ``record_failure``, ``lock``, ``collect_garbage``) belongs to the
+  concrete stores.
+* :class:`SharedStore` -- *the* directory store, whether one process or N
+  machines (through a shared filesystem) use it: atomic publish (tmp file
+  + fsync + ``os.replace``) under an advisory store lock, and lease-based
+  point claims (:meth:`~SharedStore.claim`) with stale-lease recovery, so
+  N workers partition a sweep dynamically without duplicating or
+  clobbering each other's work.  ``Engine(store=path)`` and every
+  directory path the CLI accepts open one.
 
 Claims are leases, not hard locks: ``claim(path, worker_id, ttl)`` grants the
 point to one worker for ``ttl`` seconds.  A worker that dies mid-point simply
@@ -38,13 +41,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import tempfile
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, ContextManager, Iterator
 
+from repro.api.cache import CacheEntry
 from repro.api.results import ResultSet
 from repro.obs.trace import current_carrier
 
@@ -53,8 +58,14 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
+ENTRY_PATTERN = re.compile(r"(?P<experiment>.+)-(?P<key>[0-9a-f]{16})\.json$")
+"""Name of one result entry: ``<experiment>-<first 16 hex of key>.json``."""
+
 LOCK_FILENAME = ".repro-store.lock"
 """Name of the advisory lock file inside a store directory."""
+
+POLL_INTERVAL = 0.05
+"""Seconds between retries of a blocked store-lock acquisition."""
 
 LEASE_SUFFIX = ".lease"
 """Appended to an entry path to form its claim-lease file."""
@@ -66,12 +77,12 @@ A worker whose point raises releases the lease *and* records the failure as
 a tombstone, so operators can see what failed (and why) after every worker
 has exited.  Tombstones are diagnostic residue, not state: claims ignore
 them, a later successful publish removes them, and ``python -m repro cache
-prune --gc`` (:func:`repro.api.cache.gc_store`) garbage-collects them."""
+prune --gc`` (:meth:`SharedStore.collect_garbage`) garbage-collects them."""
 
 DEFAULT_LEASE_TTL = 300.0
 """Default claim lease in seconds; must exceed the slowest single point."""
 
-# Claim outcomes (see ResultStore.claim / ResultStore.claim_many).
+# Claim outcomes (see SharedStore.claim / SharedStore.claim_many).
 CLAIM_ACQUIRED = "acquired"
 CLAIM_DONE = "done"
 CLAIM_BUSY = "busy"
@@ -90,7 +101,7 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _flock_acquire(handle, path: str, timeout: float | None, poll: float) -> None:
+def _flock_acquire(handle, path: str, timeout: float | None) -> None:
     if timeout is None:
         fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         return
@@ -104,7 +115,7 @@ def _flock_acquire(handle, path: str, timeout: float | None, poll: float) -> Non
                 raise StoreLockTimeout(
                     f"store lock {path} not acquired within {timeout:.3f} s"
                 ) from None
-            time.sleep(poll)
+            time.sleep(POLL_INTERVAL)
 
 
 STALE_LOCKDIR_SECONDS = 300.0
@@ -116,7 +127,7 @@ deadlock every worker and all cache maintenance forever.  Must comfortably
 exceed the longest critical section (they are all O(one file write))."""
 
 
-def _lockdir_acquire(path: str, timeout: float | None, poll: float) -> None:
+def _lockdir_acquire(path: str, timeout: float | None) -> None:
     # Portable fallback: mkdir is atomic on every filesystem worth using.
     deadline = None if timeout is None else time.monotonic() + timeout
     while True:
@@ -136,13 +147,11 @@ def _lockdir_acquire(path: str, timeout: float | None, poll: float) -> None:
                 raise StoreLockTimeout(
                     f"store lock {path} not acquired within {timeout:.3f} s"
                 ) from None
-            time.sleep(poll)
+            time.sleep(POLL_INTERVAL)
 
 
 @contextmanager
-def store_lock(
-    directory: str, timeout: float | None = None, poll_interval: float = 0.05
-) -> Iterator[None]:
+def store_lock(directory: str, timeout: float | None = None) -> Iterator[None]:
     """Exclusive advisory lock over a store directory.
 
     Serialises claim/publish bookkeeping and maintenance (``cache clear`` /
@@ -156,7 +165,7 @@ def store_lock(
     if fcntl is not None:
         handle = open(path, "a+")
         try:
-            _flock_acquire(handle, path, timeout, poll_interval)
+            _flock_acquire(handle, path, timeout)
             try:
                 yield
             finally:
@@ -165,7 +174,7 @@ def store_lock(
             handle.close()
     else:  # pragma: no cover - exercised only on platforms without fcntl
         lockdir = path + ".d"
-        _lockdir_acquire(lockdir, timeout, poll_interval)
+        _lockdir_acquire(lockdir, timeout)
         try:
             yield
         finally:
@@ -224,15 +233,17 @@ class Lease:
 
 
 class ResultStore:
-    """A directory of memoised experiment results in the engine's layout.
+    """The engine's result layout: entry naming and lock-free reads.
 
-    The base class is the single-process contract: tolerant ``load``, atomic
-    ``publish``, and trivial claim semantics (``claim`` only reports whether
-    the entry already exists -- no coordination, no locking).
-    :class:`SharedStore` overrides the coordination methods; execution code
-    (the engine, :func:`repro.dist.worker.run_worker`) talks to the base
-    interface only, which is what lets serial, pooled and distributed runs
-    share one dispatch path.
+    A store is rooted at ``directory`` (for
+    :class:`~repro.dist.sqlstore.SqliteStore`, the database file) and names
+    each entry by :data:`ENTRY_PATTERN`.  The base class implements the
+    read side over a directory; the concrete stores -- :class:`SharedStore`
+    and :class:`~repro.dist.sqlstore.SqliteStore` -- add ``publish`` and the
+    coordination the engine, workers and daemons execute through:
+    ``claim`` / ``claim_many`` (lease a pending entry), ``release``,
+    ``renew`` (heartbeat), ``record_failure`` (tombstone), ``lock``
+    (maintenance) and ``collect_garbage``.
     """
 
     def __init__(self, directory: str) -> None:
@@ -262,99 +273,60 @@ class ResultStore:
         except (ValueError, KeyError, json.JSONDecodeError):
             return None  # corrupt entry: callers recompute and overwrite
 
-    def publish(self, path: str, result: ResultSet) -> None:
-        """Atomically write one entry (tmp file + fsync + ``os.replace``).
-
-        A crashed publish never leaves a truncated or corrupt entry behind:
-        the final name only ever points at a fully written, synced file.
-        """
-        os.makedirs(self.directory, exist_ok=True)
-        _atomic_write(self.directory, path, result.to_json(), fsync=True)
-
-    # --- coordination (trivial locally) ------------------------------------
-
-    def claim(self, path: str, worker_id: str, ttl: float = DEFAULT_LEASE_TTL) -> str:
-        """Try to claim one pending entry for execution.
-
-        Returns :data:`CLAIM_DONE` when a *loadable* result already exists
-        (a corrupt entry counts as absent, so it gets recomputed instead of
-        being skipped forever), :data:`CLAIM_ACQUIRED` when the caller
-        should execute the point, or :data:`CLAIM_BUSY` when another live
-        worker holds the lease (shared stores only -- a local store has no
-        one to race).
-        """
-        return CLAIM_DONE if self.load(path) is not None else CLAIM_ACQUIRED
-
-    def claim_many(
-        self,
-        paths: list[str],
-        worker_id: str,
-        ttl: float = DEFAULT_LEASE_TTL,
-        max_acquire: int | None = None,
-    ) -> list[str]:
-        """Claim a batch of pending entries in (ideally) one store round trip.
-
-        Returns one claim outcome per path, in order: the :meth:`claim`
-        statuses plus :data:`CLAIM_SKIPPED` for paths not examined because
-        ``max_acquire`` leases were already granted.  Workers use this to
-        amortise store locking over whole sweeps -- against a contended
-        :class:`SharedStore` or :class:`~repro.dist.sqlstore.SqliteStore`
-        the per-point lock/transaction round trip dominates cheap points,
-        and those backends override this with a single-lock implementation.
-        The base class has no coordination cost, so it simply loops.
-        """
-        statuses: list[str] = []
-        acquired = 0
-        for path in paths:
-            if max_acquire is not None and acquired >= max_acquire:
-                statuses.append(CLAIM_SKIPPED)
-                continue
-            status = self.claim(path, worker_id, ttl)
-            if status == CLAIM_ACQUIRED:
-                acquired += 1
-            statuses.append(status)
-        return statuses
-
-    def release(self, path: str, worker_id: str) -> None:
-        """Give up a claim without publishing (failed or abandoned point)."""
-
-    def renew(self, path: str, worker_id: str, ttl: float = DEFAULT_LEASE_TTL) -> bool:
-        """Extend one's own lease on a pending entry (heartbeat).
-
-        Returns True when the lease is (still) held after the call.  The
-        local store has no leases to renew, so it always reports success --
-        the heartbeat contract is only meaningful against a
-        :class:`SharedStore`.
-        """
-        return True
-
-    def record_failure(self, path: str, worker_id: str, error: str) -> None:
-        """Record a failure tombstone for a pending entry (no-op locally)."""
-
-    def lock(self, timeout: float | None = None) -> ContextManager[None]:
-        """Maintenance lock over the whole store (no-op locally)."""
-        return nullcontext()
-
     # --- maintenance / inspection -------------------------------------------
     #
-    # The maintenance surface (``cache stats/clear/prune --gc``, queue GC)
-    # talks to these four methods instead of walking the directory itself, so
-    # backends with a different physical layout (:class:`SqliteStore`) inherit
-    # every maintenance tool for free.
+    # The maintenance surface (``cache stats/clear/prune``, queries, queue
+    # GC) talks to these methods instead of walking the directory itself, so
+    # backends with a different physical layout (:class:`SqliteStore`)
+    # inherit every maintenance tool for free.
 
     def exists(self, path: str) -> bool:
         """Whether an entry or bookkeeping document exists at ``path``."""
         return os.path.exists(path)
 
-    def entries(self, read_meta: bool = True) -> list:
-        """This store's cache entries as :class:`repro.api.cache.CacheEntry`.
+    def entries(self, read_meta: bool = True) -> list[CacheEntry]:
+        """This store's entries, sorted by path.
 
-        ``read_meta=False`` skips provenance metadata (version/params) for
-        callers that only need the inventory.
+        A missing directory has no entries.  Files not named like an entry
+        are ignored; entries whose JSON cannot be read still appear, with
+        ``version``/``params`` of ``None``.  ``read_meta=False`` skips
+        parsing the payloads (they can be large) for callers that only need
+        the inventory.
         """
-        from repro.api.cache import scan_cache
-
-        return scan_cache(self.directory, read_meta=read_meta)
+        if not os.path.isdir(self.directory):
+            return []
+        found: list[CacheEntry] = []
+        for filename in sorted(os.listdir(self.directory)):
+            match = ENTRY_PATTERN.fullmatch(filename)
+            if match is None:
+                continue
+            path = os.path.join(self.directory, filename)
+            try:
+                stat = os.stat(path)
+            except OSError:
+                continue  # deleted concurrently
+            version: str | None = None
+            params: dict[str, Any] | None = None
+            if read_meta:
+                try:
+                    with open(path) as handle:
+                        meta = json.load(handle).get("meta", {})
+                    version = meta.get("version")
+                    params = meta.get("params")
+                except (OSError, json.JSONDecodeError, AttributeError):
+                    pass  # corrupt entry: keep it listed so prune/clear can remove it
+            found.append(
+                CacheEntry(
+                    path=path,
+                    experiment=match.group("experiment"),
+                    key=match.group("key"),
+                    version=version,
+                    params=params,
+                    size_bytes=stat.st_size,
+                    mtime=stat.st_mtime,
+                )
+            )
+        return found
 
     def remove_entries(self, paths: list[str]) -> int:
         """Delete entries plus their lease/tombstone bookkeeping.
@@ -378,29 +350,11 @@ class ResultStore:
                     pass
         return removed
 
-    def collect_garbage(
-        self,
-        now: float | None = None,
-        dry_run: bool = False,
-        keep_pending_failures: bool = False,
-    ) -> list[str]:
-        """GC claim/tombstone residue; a local store has none to collect."""
-        return []
-
-
-class LocalStore(ResultStore):
-    """The engine's classic single-machine cache directory, unchanged.
-
-    Exists as a named type so ``Engine(store=...)`` reads explicitly; the
-    behaviour is exactly the :class:`ResultStore` base contract (and exactly
-    what ``Engine(cache_dir=...)`` always did).
-    """
-
 
 class SharedStore(ResultStore):
-    """A store directory shared by many workers, made race-safe.
+    """The directory store, race-safe for any number of workers.
 
-    Adds to :class:`LocalStore`:
+    Adds to the :class:`ResultStore` layout:
 
     * an advisory store lock (:meth:`lock`) serialising all bookkeeping,
     * lease-based claims: :meth:`claim` grants a point to one worker for
@@ -410,16 +364,11 @@ class SharedStore(ResultStore):
     * locked publish: the atomic result write and the lease removal happen
       under the store lock, so maintenance (``cache prune``) never observes
       half-updated bookkeeping.
-
-    ``poll_interval`` tunes how often blocked lock acquisitions retry.
     """
 
-    def __init__(self, directory: str, poll_interval: float = 0.05) -> None:
-        super().__init__(directory)
-        self.poll_interval = poll_interval
-
     def lock(self, timeout: float | None = None) -> ContextManager[None]:
-        return store_lock(self.directory, timeout=timeout, poll_interval=self.poll_interval)
+        """Maintenance lock over the whole store (see :func:`store_lock`)."""
+        return store_lock(self.directory, timeout=timeout)
 
     # --- leases -----------------------------------------------------------
 
@@ -482,6 +431,14 @@ class SharedStore(ResultStore):
     # --- coordination -----------------------------------------------------
 
     def claim(self, path: str, worker_id: str, ttl: float = DEFAULT_LEASE_TTL) -> str:
+        """Try to claim one pending entry for execution.
+
+        Returns :data:`CLAIM_DONE` when a *loadable* result already exists
+        (a corrupt entry counts as absent, so it gets recomputed instead of
+        being skipped forever), :data:`CLAIM_ACQUIRED` when the caller
+        should execute the point, or :data:`CLAIM_BUSY` when another live
+        worker holds the lease.
+        """
         if ttl <= 0:
             raise ValueError("lease ttl must be positive")
         while True:
@@ -520,7 +477,10 @@ class SharedStore(ResultStore):
     ) -> list[str]:
         """Batch claim under a *single* lock acquisition per pass.
 
-        The per-path decisions are identical to :meth:`claim`; what changes
+        Returns one claim outcome per path, in order: the :meth:`claim`
+        statuses plus :data:`CLAIM_SKIPPED` for paths not examined because
+        ``max_acquire`` leases were already granted.  The per-path
+        decisions are identical to :meth:`claim`; what changes
         is the cost model -- N pending points are leased with one
         lock/unlock round trip instead of N, which is what makes worker
         dispatch overhead independent of sweep size.  Entry validation
@@ -576,8 +536,16 @@ class SharedStore(ResultStore):
         return [status for status in statuses if status is not None]
 
     def publish(self, path: str, result: ResultSet) -> None:
+        """Atomically write one entry and clear its lease and tombstone.
+
+        A crashed publish never leaves a truncated or corrupt entry behind:
+        the final name only ever points at a fully written, synced file.
+        """
+        self._publish_text(path, result.to_json())
+
+    def _publish_text(self, path: str, text: str) -> None:
         with self.lock():
-            super().publish(path, result)
+            _atomic_write(self.directory, path, text, fsync=True)
             self._unlink_lease(path)
             # A successful result supersedes any earlier failure of the point.
             try:

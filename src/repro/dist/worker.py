@@ -201,9 +201,9 @@ def run_worker(
         The sweep every cooperating worker must agree on (the store carries
         results, not the work list).
     store:
-        Where results live; a :class:`~repro.dist.store.SharedStore` for
-        multi-worker runs, any :class:`~repro.dist.store.ResultStore` when
-        a single worker just wants the streaming loop.
+        Where results live: a :class:`~repro.dist.store.SharedStore` or a
+        :class:`~repro.dist.sqlstore.SqliteStore`, shared by every
+        cooperating worker.
     base_params:
         Fixed parameters under the sweep overrides (as in ``Engine.sweep``).
     worker_id:

@@ -91,14 +91,7 @@ class _QueueStore(SharedStore):
         return payload if isinstance(payload, dict) else None
 
     def publish(self, path: str, payload: Mapping[str, Any]) -> None:  # type: ignore[override]
-        with self.lock():
-            os.makedirs(self.directory, exist_ok=True)
-            _atomic_write(self.directory, path, json.dumps(payload), fsync=True)
-            self._unlink_lease(path)
-            try:
-                os.unlink(path + FAILED_SUFFIX)
-            except FileNotFoundError:
-                pass
+        self._publish_text(path, json.dumps(payload))
 
 
 def new_job_id() -> str:
@@ -114,9 +107,9 @@ class SpecQueue:
     distributed workers do on a result store.
     """
 
-    def __init__(self, directory: str, poll_interval: float = 0.05) -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = str(directory)
-        self._store = _QueueStore(self.directory, poll_interval=poll_interval)
+        self._store = _QueueStore(self.directory)
 
     def __repr__(self) -> str:
         return f"SpecQueue({self.directory!r})"
@@ -407,7 +400,7 @@ class SpecQueue:
         settled (done/failed) jobs are dropped too.
 
         Lease and tombstone residue is collected through the store seam
-        (:meth:`~repro.dist.store.ResultStore.collect_garbage` with pending
+        (:meth:`~repro.dist.store.SharedStore.collect_garbage` with pending
         failures kept), so the mechanics follow the store backend -- a
         locked directory sweep here, conditional ``DELETE`` statements for
         a SQL-backed queue store -- while progress documents, which are

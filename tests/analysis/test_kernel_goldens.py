@@ -37,10 +37,10 @@ def test_reference_covers_every_registered_item():
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_content_hash_matches_reference(name, tmp_path):
     expected = REFERENCE[name]["content_hash"]
-    cold = _run_item(Engine(cache_dir=str(tmp_path)), name)
+    cold = _run_item(Engine(store=str(tmp_path)), name)
     assert cold.content_hash == expected
 
-    warm_engine = Engine(cache_dir=str(tmp_path))
+    warm_engine = Engine(store=str(tmp_path))
     warm = _run_item(warm_engine, name)
     assert warm.content_hash == expected
     assert warm_engine.cache_misses == 0 and warm_engine.cache_hits > 0

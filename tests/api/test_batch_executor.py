@@ -67,10 +67,10 @@ class TestBatchExecutor:
 
     def test_cache_shared_with_serial(self, batched_experiment, tmp_path):
         spec = SweepSpec.grid(x=[1.0, 2.0, 3.0])
-        batch_engine = Engine(executor="batch", cache_dir=str(tmp_path))
+        batch_engine = Engine(executor="batch", store=str(tmp_path))
         batch_engine.sweep(batched_experiment, spec)
         single_calls = BATCH_CALLS["single"]
-        serial_engine = Engine(cache_dir=str(tmp_path))
+        serial_engine = Engine(store=str(tmp_path))
         again = serial_engine.sweep(batched_experiment, spec)
         assert BATCH_CALLS["single"] == single_calls  # all cache hits
         assert sorted(record["x"] for record in again.to_records() if record["i"] == 0) == [

@@ -211,6 +211,26 @@ class TestCacheCommand:
         assert code == 0
         assert "0 entries" in out
 
+    @pytest.mark.parametrize("spelling", ["--store", "--cache-dir"])
+    @pytest.mark.parametrize(
+        "command,reported",
+        [
+            (["stats"], "0 entries"),
+            (["clear"], "removed 0 cache entries"),
+            (["prune", "--older-than", "0s"], "removed 0 cache entries"),
+            (["prune", "--gc"], "removed 0 tombstone/lease records"),
+        ],
+        ids=["stats", "clear", "prune-age", "prune-gc"],
+    )
+    def test_missing_store_reports_zero_and_creates_nothing(
+        self, capsys, tmp_path, spelling, command, reported
+    ):
+        missing = tmp_path / "MISSING"
+        code, out, _ = run_cli(capsys, "cache", *command, spelling, str(missing))
+        assert code == 0
+        assert reported in out
+        assert not missing.exists()
+
     def test_clear(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
         self._populate(capsys, cache)
@@ -373,12 +393,14 @@ class TestStudyCommand:
         assert merged.content_hash == serial.content_hash
 
     def test_run_with_store_and_cache_dir_rejected(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "study", "run", "growth_to_wafer",
-            "--store", str(tmp_path / "a"), "--cache-dir", str(tmp_path / "b"),
-        )
-        assert code == 2
-        assert "not both" in err
+        # --cache-dir is a second spelling of --store: giving both is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                capsys, "study", "run", "growth_to_wafer",
+                "--store", str(tmp_path / "a"), "--cache-dir", str(tmp_path / "b"),
+            )
+        assert exit_info.value.code == 2
+        assert "not allowed with argument --store" in capsys.readouterr().err
 
 
 class TestDocsCommand:

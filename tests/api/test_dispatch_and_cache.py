@@ -7,6 +7,7 @@ import pytest
 from repro.api import Engine, SweepSpec
 from repro.api.engine import cache_key
 from repro.api.experiment import Experiment, ParamSpec
+from repro.dist.store import LOCK_FILENAME
 
 
 def _experiment() -> Experiment:
@@ -49,7 +50,7 @@ class TestDispatchGranularity:
 
 class TestCacheCrashSafety:
     def _engine_and_paths(self, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path / "cache"))
+        engine = Engine(store=str(tmp_path / "cache"))
         experiment = _experiment()
         result = engine.run(experiment, x=3.0)
         path = engine._cache_path(experiment, experiment.resolve_params({"x": 3.0}))
@@ -66,8 +67,9 @@ class TestCacheCrashSafety:
         with pytest.raises(OSError):
             engine._cache_store(path, result)
         monkeypatch.undo()
-        # No temp files and no (possibly partial) final entry survive.
-        assert os.listdir(engine.cache_dir) == []
+        # No temp files and no (possibly partial) final entry survive; only
+        # the store's advisory lock file remains.
+        assert os.listdir(engine.store.directory) == [LOCK_FILENAME]
         assert engine._cache_load(path) is None
 
     def test_crash_never_corrupts_existing_entry(self, tmp_path, monkeypatch):

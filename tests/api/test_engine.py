@@ -62,7 +62,7 @@ class TestRun:
 
 class TestCache:
     def test_hit_miss_semantics(self, counted_experiment, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         first = engine.run(counted_experiment, x=2.0)
         assert (engine.cache_hits, engine.cache_misses) == (0, 1)
         assert CALLS["count"] == 1
@@ -75,7 +75,7 @@ class TestCache:
         assert "cache_hit" not in first.meta
 
     def test_different_params_miss(self, counted_experiment, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         engine.run(counted_experiment, x=2.0)
         engine.run(counted_experiment, x=3.0)
         assert CALLS["count"] == 2
@@ -87,13 +87,13 @@ class TestCache:
         assert CALLS["count"] == 2
 
     def test_use_cache_false_bypasses(self, counted_experiment, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         engine.run(counted_experiment)
         engine.run(counted_experiment, use_cache=False)
         assert CALLS["count"] == 2
 
     def test_corrupt_entry_recomputed(self, counted_experiment, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         engine.run(counted_experiment)
         for entry in os.listdir(tmp_path):
             (tmp_path / entry).write_text("{not json")
@@ -109,7 +109,7 @@ class TestCache:
         assert cache_key("fig9", "1", {"a": 1}) == base
 
     def test_clear_cache(self, counted_experiment, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         engine.run(counted_experiment)
         assert engine.clear_cache() == 1
         assert engine.clear_cache() == 0
@@ -151,7 +151,7 @@ class TestSweep:
         assert serial == pooled
 
     def test_sweep_cache_pays_only_new_points(self, counted_experiment, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         spec = SweepSpec.grid(x=[1.0, 2.0])
         engine.sweep(counted_experiment, spec)
         assert CALLS["count"] == 2
@@ -182,7 +182,7 @@ class TestSweep:
             Engine(executor="process", chunk_size=1).sweep(adhoc, spec)
 
     def test_clear_cache_leaves_foreign_json_alone(self, counted_experiment, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         engine.run(counted_experiment)
         exported = tmp_path / "my_results.json"
         exported.write_text("{}")
@@ -223,7 +223,7 @@ class TestLegacyParity:
         assert engine.to_records() == legacy
 
     def test_cached_engine_result_round_trips_legacy_records(self, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         first = engine.run("table_doping_resistance", lengths_um=(1.0, 10.0))
         second = engine.run("table_doping_resistance", lengths_um=(1.0, 10.0))
         assert second.meta["cache_hit"] is True

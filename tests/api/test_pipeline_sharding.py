@@ -65,7 +65,7 @@ def test_refined_sharded_pipeline_reuses_caches(sharded_pipeline, tmp_path):
     spec = SweepSpec.grid(x=[1.0, 2.0, 3.0])
 
     for plan in ShardPlan.partition(2):
-        Engine(cache_dir=cache).sweep("shardpipe_down", spec, shard=plan)
+        Engine(store=cache).sweep("shardpipe_down", spec, shard=plan)
     downstream_after_coarse = CALLS["downstream"]
     assert downstream_after_coarse == 3
     # One shared upstream invocation, computed by the first shard engine
@@ -75,7 +75,7 @@ def test_refined_sharded_pipeline_reuses_caches(sharded_pipeline, tmp_path):
     refined = spec.refine("x", factor=2)  # x = 1, 1.5, 2, 2.5, 3
     parts = []
     for plan in ShardPlan.partition(2):
-        engine = Engine(cache_dir=cache)
+        engine = Engine(store=cache)
         parts.append(engine.sweep("shardpipe_down", refined, shard=plan))
     # Only the two *new* midpoints executed; the coarse points -- still on
     # their original shards -- replayed from cache, as did the upstream.
@@ -83,7 +83,7 @@ def test_refined_sharded_pipeline_reuses_caches(sharded_pipeline, tmp_path):
     assert CALLS["upstream"] == 1
 
     merged = merge_results(parts)
-    serial = Engine(cache_dir=cache).sweep("shardpipe_down", refined)
+    serial = Engine(store=cache).sweep("shardpipe_down", refined)
     assert merged.content_hash == serial.content_hash
     assert merged == serial
 
@@ -93,7 +93,7 @@ def test_upstream_entries_are_shared_between_shards(sharded_pipeline, tmp_path):
     cache = str(tmp_path)
     spec = SweepSpec.grid(x=[1.0, 2.0, 3.0, 4.0])
     for plan in ShardPlan.partition(2):
-        Engine(cache_dir=cache).sweep("shardpipe_down", spec, shard=plan)
+        Engine(store=cache).sweep("shardpipe_down", spec, shard=plan)
     upstream_entries = [
         name for name in os.listdir(cache) if name.startswith("shardpipe_up-")
     ]
@@ -106,7 +106,7 @@ def test_sharded_composite_sweep_with_swept_bound_param(sharded_pipeline, tmp_pa
     cache = str(tmp_path)
     spec = SweepSpec.grid(x=[1.0, 2.0], gain=[2.0, 3.0])
     parts = [
-        Engine(cache_dir=cache).sweep("shardpipe_down", spec, shard=plan)
+        Engine(store=cache).sweep("shardpipe_down", spec, shard=plan)
         for plan in ShardPlan.partition(3)
     ]
     merged = merge_results(parts)

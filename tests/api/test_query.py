@@ -111,7 +111,7 @@ class TestQueryEntries:
 
     def test_works_on_directory_stores_too(self, query_experiment, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        engine = Engine(cache_dir=cache_dir)
+        engine = Engine(store=cache_dir)
         for n in (10, 80):
             engine.run(query_experiment, n_segments=n)
         hits = query_entries(
@@ -136,6 +136,19 @@ class TestExportResults:
         # Sweep-style parameter tagging: the record's own column survives,
         # the parameter lands under the usual prefix on collision.
         assert {record["param_n_segments"] for record in records} == {40, 80}
+
+    def test_export_from_directory_path(self, query_experiment, tmp_path):
+        """A directory path exports the same rows as the store object."""
+        directory = str(tmp_path / "cache")
+        engine = Engine(store=directory)
+        for n in (10, 40, 80):
+            engine.run(query_experiment, n_segments=n)
+        by_path = export_results(directory, query_entries(directory))
+        by_store = export_results(SharedStore(directory), query_entries(directory))
+        assert by_path.meta["n_entries"] == 3
+        assert by_path.meta["n_skipped"] == 0
+        assert by_path.to_records() == by_store.to_records()
+        assert len(by_path) == 3
 
     def test_vanished_entries_are_counted_skipped(self, query_experiment, tmp_path):
         store = _populated_store(tmp_path, query_experiment)
@@ -188,7 +201,7 @@ class TestQueryCli:
 
     def test_migrate_then_query_cli(self, query_experiment, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
-        engine = Engine(cache_dir=cache_dir)
+        engine = Engine(store=cache_dir)
         for n in (10, 80):
             engine.run(query_experiment, n_segments=n)
         spec = "sqlite:///" + str(tmp_path / "migrated.db")
@@ -211,14 +224,16 @@ class TestQueryCli:
         assert len(store.entries()) == 1
 
     def test_store_and_cache_dir_are_exclusive(self, query_experiment, tmp_path, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "run",
-            query_experiment,
-            "--store",
-            "sqlite:///" + str(tmp_path / "x.db"),
-            "--cache-dir",
-            str(tmp_path / "cache"),
-        )
-        assert code == 2
-        assert "not both" in err
+        # --cache-dir is a second spelling of --store: giving both is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                capsys,
+                "run",
+                query_experiment,
+                "--store",
+                "sqlite:///" + str(tmp_path / "x.db"),
+                "--cache-dir",
+                str(tmp_path / "cache"),
+            )
+        assert exit_info.value.code == 2
+        assert "not allowed with argument --store" in capsys.readouterr().err

@@ -79,7 +79,7 @@ class TestRegistry:
         # a real engine citizen: runnable, memoised and replayable.
         from repro.api import Engine
 
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         for name, params in [
             ("em_lifetime", {}),
             ("variability", {"n_devices": 50}),

@@ -98,7 +98,7 @@ class TestIterSweep:
         assert all(serial[index] == pooled[index] for index in serial)
 
     def test_cache_hits_streamed_first(self, counted_experiment, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         engine.sweep(counted_experiment, SweepSpec.grid(x=[2.0]))
         points = list(
             engine.iter_sweep(counted_experiment, SweepSpec.grid(x=[1.0, 2.0, 3.0]))
@@ -178,7 +178,7 @@ class TestSweepOnResult:
         assert len(result) == 6  # 3 points x 2 records
 
     def test_on_result_sees_cache_hits(self, counted_experiment, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         engine.sweep(counted_experiment, SweepSpec.grid(x=[1.0, 2.0]))
         seen = []
         engine.sweep(
@@ -210,7 +210,7 @@ class TestSweepError:
     def test_completed_points_cached_rerun_pays_failures_only(
         self, flaky_experiment, tmp_path
     ):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         with pytest.raises(SweepError):
             engine.sweep(flaky_experiment, SweepSpec.grid(x=[1.0, 2.0, 3.0]))
         assert engine.cache_misses == 3

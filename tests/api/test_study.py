@@ -281,12 +281,12 @@ class TestEngineComposite:
         self, pipeline_experiments, tmp_path
     ):
         cache = str(tmp_path)
-        Engine(cache_dir=cache).run("pipe_sink", base=2.0)
+        Engine(store=cache).run("pipe_sink", base=2.0)
         assert CALLS == {"source": 1, "scale": 1, "sink": 1}
 
         # (a) changing only a downstream parameter replays all upstream
         # stages from cache.
-        engine = Engine(cache_dir=cache)
+        engine = Engine(store=cache)
         engine.run("pipe_sink", base=2.0, offset=5.0)
         assert CALLS == {"source": 1, "scale": 1, "sink": 2}
         assert (engine.cache_hits, engine.cache_misses) == (2, 1)
@@ -295,17 +295,17 @@ class TestEngineComposite:
         self, pipeline_experiments, tmp_path
     ):
         cache = str(tmp_path)
-        Engine(cache_dir=cache).run("pipe_sink")
+        Engine(store=cache).run("pipe_sink")
         # (b) a bound parameter change re-runs every stage.
-        Engine(cache_dir=cache).run("pipe_sink", base=3.0)
+        Engine(store=cache).run("pipe_sink", base=3.0)
         assert CALLS == {"source": 2, "scale": 2, "sink": 2}
 
     def test_stage_override_invalidates_dependents(
         self, pipeline_experiments, tmp_path
     ):
         cache = str(tmp_path)
-        Engine(cache_dir=cache).run("pipe_sink")
-        Engine(cache_dir=cache).run(
+        Engine(store=cache).run("pipe_sink")
+        Engine(store=cache).run(
             "pipe_sink", stage_params={"pipe_source": {"n": 2}}
         )
         assert CALLS == {"source": 2, "scale": 2, "sink": 2}
@@ -314,10 +314,10 @@ class TestEngineComposite:
         self, pipeline_experiments, tmp_path
     ):
         cache = str(tmp_path)
-        Engine(cache_dir=cache).run("pipe_sink")
+        Engine(store=cache).run("pipe_sink")
         # `unused` changes the source's cache key but not its records: the
         # chained keys hash upstream *content*, so downstream still hits.
-        engine = Engine(cache_dir=cache)
+        engine = Engine(store=cache)
         engine.run("pipe_sink", stage_params={"pipe_source": {"unused": 9.0}})
         assert CALLS["source"] == 2
         assert CALLS["scale"] == 1
@@ -362,8 +362,8 @@ class TestEngineComposite:
         self, pipeline_experiments, tmp_path
     ):
         spec = SweepSpec.grid(base=[1.0, 2.0])
-        first = Engine(cache_dir=str(tmp_path)).sweep("pipe_sink", spec)
-        second = Engine(cache_dir=str(tmp_path)).sweep("pipe_sink", spec)
+        first = Engine(store=str(tmp_path)).sweep("pipe_sink", spec)
+        second = Engine(store=str(tmp_path)).sweep("pipe_sink", spec)
         assert CALLS["sink"] == 2  # second sweep fully cached
         assert second.content_hash == first.content_hash
 
@@ -388,8 +388,8 @@ class TestOneInvocationPath:
             ),
         }
         second = "sweep" if first == "run" else "run"
-        calls[first](Engine(cache_dir=str(tmp_path)))
-        engine = Engine(cache_dir=str(tmp_path))
+        calls[first](Engine(store=str(tmp_path)))
+        engine = Engine(store=str(tmp_path))
         result = calls[second](engine)
         assert result.column("total") == [24.0]
         assert CALLS == {"source": 1, "scale": 1, "sink": 1}
@@ -463,7 +463,7 @@ class TestStudyRegistry:
             get_study("pipe_studyy")
 
     def test_run_study_applies_stage_params(self, registered_study, tmp_path):
-        result = Engine(cache_dir=str(tmp_path)).run_study("pipe_study")
+        result = Engine(store=str(tmp_path)).run_study("pipe_study")
         # n=4 from the study override: base=1 -> (1+2+3+4)*2 = 20, base=2 -> 40
         assert result.column("total") == [20.0, 40.0]
         assert result.meta["study"]["name"] == "pipe_study"
@@ -520,7 +520,7 @@ class TestRegisteredRealStudies:
             assert len(pipeline) >= 2
 
     def test_growth_to_wafer_end_to_end(self, tmp_path):
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=str(tmp_path))
         result = engine.run_study(
             "growth_to_wafer", sweep=SweepSpec.grid(seed=[0, 1], catalyst=["Co"])
         )

@@ -56,7 +56,7 @@ def run_campaign(tmp_path, label="a", **overrides):
         batch_size=4,
         budget=12,
         seed=0,
-        cache_dir=str(tmp_path / f"cache-{label}"),
+        store=str(tmp_path / f"cache-{label}"),
     )
     settings.update(overrides)
     return Campaign("campaign_quad", POOL, "loss", **settings).run()
@@ -90,7 +90,7 @@ class TestConfigValidation:
                 POOL,
                 "loss",
                 engine=Engine(),
-                cache_dir=str(tmp_path / "cache"),
+                store=str(tmp_path / "cache"),
             )
 
     def test_unknown_objective_column_rejected_at_ingest(
@@ -102,7 +102,7 @@ class TestConfigValidation:
             "nope",
             batch_size=4,
             budget=4,
-            cache_dir=str(tmp_path / "cache"),
+            store=str(tmp_path / "cache"),
         )
         with pytest.raises(CampaignError, match="'nope' is not in"):
             campaign.run()
@@ -221,7 +221,7 @@ class TestCheckpointing:
             batch_size=4,
             budget=12,
             seed=3,
-            cache_dir=str(tmp_path / "cache"),
+            store=str(tmp_path / "cache"),
             checkpoint_path=str(tmp_path / "campaign.json"),
         )
         settings.update(overrides)
@@ -306,7 +306,7 @@ class TestGrowthWindowAcceptance:
         # The acceptance bar from the issue: find the 48-point grid's best
         # quality within <= 1/5 of the grid's points.
         grid_best = (
-            Engine(cache_dir=str(tmp_path / "grid"))
+            Engine(store=str(tmp_path / "grid"))
             .sweep("growth_window", GROWTH_POOL)
             .best("quality", mode="max")["quality"]
         )
@@ -320,7 +320,7 @@ class TestGrowthWindowAcceptance:
             batch_size=3,
             budget=budget,
             seed=0,
-            cache_dir=str(tmp_path / "campaign"),
+            store=str(tmp_path / "campaign"),
         ).run()
         assert report.n_visited <= budget
         assert report.best_value == pytest.approx(grid_best, abs=1e-9)
@@ -341,7 +341,7 @@ class TestGrowthWindowAcceptance:
                 batch_size=3,
                 seed=seed,
                 target=1.0,
-                cache_dir=str(tmp_path / f"{label}-{seed}"),
+                store=str(tmp_path / f"{label}-{seed}"),
             ).run().n_visited
 
         assert visited("surrogate", "s") < visited("random", "r")
@@ -356,7 +356,7 @@ class TestVariabilityCornerAcceptance:
         )
         base = {"n_segments": 30, "n_time_steps": 80}
         grid_worst = (
-            Engine(cache_dir=str(tmp_path / "grid"))
+            Engine(store=str(tmp_path / "grid"))
             .sweep("variability_delay", pool, base_params=base)
             .best("delay_ps", mode="max")["delay_ps"]
         )
@@ -370,7 +370,7 @@ class TestVariabilityCornerAcceptance:
             budget=6,
             seed=0,
             base_params=base,
-            cache_dir=str(tmp_path / "campaign"),
+            store=str(tmp_path / "campaign"),
         ).run()
         assert report.n_visited < len(pool)
         assert report.best_value == pytest.approx(grid_worst)
@@ -385,7 +385,7 @@ class TestCompositeFomAcceptance:
             width_nm=[15.0, 20.0, 30.0],
         )
         grid_best = (
-            Engine(cache_dir=str(tmp_path / "grid"))
+            Engine(store=str(tmp_path / "grid"))
             .sweep("composite_fom", pool)
             .best("figure_of_merit", mode="max")["figure_of_merit"]
         )
@@ -398,7 +398,7 @@ class TestCompositeFomAcceptance:
             batch_size=3,
             budget=9,
             seed=0,
-            cache_dir=str(tmp_path / "campaign"),
+            store=str(tmp_path / "campaign"),
         ).run()
         assert report.n_visited <= len(pool) // 2
         assert report.best_value == pytest.approx(grid_best)

@@ -16,7 +16,7 @@ crash-injection runs.
 import json
 import os
 
-from repro.dist import FAILED_SUFFIX, LEASE_SUFFIX, LocalStore, SharedStore
+from repro.dist import FAILED_SUFFIX, LEASE_SUFFIX, SharedStore
 from repro.dist.sqlstore import SqliteStore
 
 
@@ -24,10 +24,6 @@ class StoreHarness:
     """One backend's adapter for the shared conformance battery."""
 
     name = "base"
-    coordinated = True
-    """Whether the backend has real leases (busy / takeover / renew
-    semantics).  ``LocalStore`` is the trivial single-process contract, so
-    the coordination half of the battery is skipped for it."""
 
     def make(self, root):
         """Build a fresh store rooted under ``root`` (a tmp directory)."""
@@ -54,13 +50,13 @@ class StoreHarness:
         raise NotImplementedError
 
 
-class _DirectoryHarness(StoreHarness):
-    """Shared behaviour of the file-per-entry backends."""
+class SharedHarness(StoreHarness):
+    """The directory store: one JSON file per entry."""
 
-    cls = None
+    name = "shared"
 
     def make(self, root):
-        return self.cls(self.spec(root))
+        return SharedStore(self.spec(root))
 
     def spec(self, root):
         return os.path.join(str(root), f"{self.name}-store")
@@ -86,17 +82,6 @@ class _DirectoryHarness(StoreHarness):
         payload = {"worker": worker, "error": "boom", "failed_at": 0.0}
         with open(path + FAILED_SUFFIX, "w") as handle:
             json.dump(payload, handle)
-
-
-class LocalHarness(_DirectoryHarness):
-    name = "local"
-    coordinated = False
-    cls = LocalStore
-
-
-class SharedHarness(_DirectoryHarness):
-    name = "shared"
-    cls = SharedStore
 
 
 class SqliteHarness(StoreHarness):
@@ -145,8 +130,5 @@ class SqliteHarness(StoreHarness):
         )
 
 
-HARNESSES = (LocalHarness(), SharedHarness(), SqliteHarness())
+HARNESSES = (SharedHarness(), SqliteHarness())
 """Every store backend the conformance battery runs against."""
-
-COORDINATED = tuple(h for h in HARNESSES if h.coordinated)
-"""The backends with real lease semantics (claim/renew/takeover battery)."""

@@ -1,6 +1,6 @@
 """Crash-recovery invariants, via SIGKILL injection at protocol boundaries.
 
-Runs :mod:`faults`' doomed worker against both coordinated backends and
+Runs :mod:`faults`' doomed worker against every store backend and
 asserts the survivor-side invariants: a lease left by a kill at the claim
 boundary expires and is GC'd / taken over; a kill mid-execution is recovered
 by a second worker with the point executed exactly once overall; a kill
@@ -16,7 +16,6 @@ import pytest
 from repro.api import (
     ParamSpec,
     SweepSpec,
-    gc_store,
     get_experiment,
     register_experiment,
     unregister_experiment,
@@ -31,9 +30,7 @@ from repro.dist import (
 )
 from repro.dist.sqlstore import resolve_store
 from faults import EXPERIMENT, crash_worker_at
-from store_contract import SharedHarness, SqliteHarness
-
-HARNESSES = (SharedHarness(), SqliteHarness())
+from store_contract import HARNESSES
 
 
 @pytest.fixture(params=HARNESSES, ids=lambda h: h.name)
@@ -84,9 +81,9 @@ class TestCrashAtClaim:
         # Within the ttl the dead worker still looks alive: the point is
         # busy and GC must not touch the lease.
         assert store.claim(path, "rescuer", ttl=60.0) == CLAIM_BUSY
-        assert gc_store(store) == []
+        assert store.collect_garbage() == []
         time.sleep(2.1)  # the ttl lapses with the worker dead
-        collected = gc_store(store)
+        collected = store.collect_garbage()
         assert path + LEASE_SUFFIX in collected
         assert store.claim(path, "rescuer", ttl=60.0) == CLAIM_ACQUIRED
 
@@ -137,7 +134,7 @@ class TestCrashAfterPublish:
         assert store.read_lease(path) is None
         assert store.claim(path, "rescuer") == CLAIM_DONE
         assert len(worker.completed_executions()) == 1
-        assert gc_store(store) == []  # a clean publish leaves no residue
+        assert store.collect_garbage() == []  # a clean publish leaves no residue
 
         fault_experiment["log"] = worker.log_path
         report = run_worker(

@@ -1,12 +1,13 @@
 """Lease heartbeat renewal and store garbage collection (tombstones, leases)."""
 
+import json
 import os
 import threading
 import time
 
 import pytest
 
-from repro.api import Engine, ParamSpec, SweepSpec, gc_store, register_experiment, unregister_experiment
+from repro.api import Engine, ParamSpec, SweepSpec, register_experiment, unregister_experiment
 from repro.api.engine import cache_key
 from repro.dist import (
     CLAIM_ACQUIRED,
@@ -183,36 +184,35 @@ class TestGcStore:
         store.record_failure(failed, "dead-worker", "boom")
         time.sleep(0.1)  # let the short lease lapse
 
-        preview = gc_store(directory, dry_run=True)
+        preview = store.collect_garbage(dry_run=True)
         assert expired + LEASE_SUFFIX in preview
         assert failed + FAILED_SUFFIX in preview
         assert live + LEASE_SUFFIX not in preview
 
-        collected = gc_store(directory)
+        collected = store.collect_garbage()
         assert sorted(collected) == sorted(preview)
         assert not os.path.exists(expired + LEASE_SUFFIX)
         assert not os.path.exists(failed + FAILED_SUFFIX)
         assert os.path.exists(live + LEASE_SUFFIX)  # live worker untouched
 
     def test_collects_lease_orphaned_by_published_entry(self, tmp_path):
-        from repro.dist import LocalStore
-
-        shared = SharedStore(str(tmp_path))
-        path = os.path.join(str(tmp_path), "exp-dddddddddddddddd.json")
-        shared.claim(path, "w1", ttl=120.0)
-        # A LocalStore publish does not clear leases -- exactly the orphan a
-        # crashed SharedStore publish (between rename and unlink) leaves.
         from repro.api.results import ResultSet
 
-        LocalStore(str(tmp_path)).publish(path, ResultSet({"a": [1]}))
-        assert os.path.exists(path + LEASE_SUFFIX)
-        collected = gc_store(str(tmp_path))
+        store = SharedStore(str(tmp_path))
+        path = os.path.join(str(tmp_path), "exp-dddddddddddddddd.json")
+        store.publish(path, ResultSet({"a": [1]}))
+        # Plant a live lease next to the published entry -- exactly the
+        # orphan a publish that crashed between rename and unlink leaves.
+        lease = {"worker": "w1", "claimed_at": 0.0, "expires_at": 4102444800.0, "pid": None}
+        with open(path + LEASE_SUFFIX, "w") as handle:
+            json.dump(lease, handle)
+        collected = store.collect_garbage()
         assert path + LEASE_SUFFIX in collected
         assert os.path.exists(path)  # entries are never GC'd
 
     def test_missing_directory_is_empty(self, tmp_path):
-        assert gc_store(str(tmp_path / "nope")) == []
-        assert gc_store(None) == []
+        assert SharedStore(str(tmp_path / "nope")).collect_garbage() == []
+        assert not (tmp_path / "nope").exists()
 
     # Kill-a-real-worker GC coverage lives in test_faults.py now, where the
-    # crash-injection harness runs it against every coordinated backend.
+    # crash-injection harness runs it against every store backend.

@@ -5,7 +5,7 @@ The cross-backend protocol behaviour is covered by the conformance battery
 backend -- ``resolve_store`` spellings, the schema version guard, directory
 -> database migration, and the end-to-end guarantee that a sweep executed
 through a :class:`SqliteStore` produces content-hash-identical results to a
-serial :class:`LocalStore` run.
+serial directory-store run.
 """
 
 import os
@@ -17,7 +17,6 @@ import pytest
 from repro.api import Engine, ParamSpec, register_experiment, unregister_experiment
 from repro.api.results import ResultSet
 from repro.dist import (
-    LocalStore,
     SharedStore,
     SqliteStore,
     migrate_store,
@@ -72,7 +71,6 @@ class TestResolveStore:
 
     def test_directory_paths_stay_directory_stores(self, tmp_path):
         assert isinstance(resolve_store(str(tmp_path)), SharedStore)
-        assert isinstance(resolve_store(str(tmp_path), shared=False), LocalStore)
         assert isinstance(resolve_store(str(tmp_path / "new-dir")), SharedStore)
 
     def test_store_instances_pass_through(self, tmp_path):
@@ -109,7 +107,7 @@ class TestEngineIntegration:
         """The acceptance bar: a sweep through a SqliteStore merges to the
         same content hash as the classic serial cache-directory run."""
         xs = [1.0, 2.0, 3.0, 4.0]
-        serial = Engine(cache_dir=str(tmp_path / "cache")).sweep(
+        serial = Engine(store=str(tmp_path / "cache")).sweep(
             sql_experiment, SweepSpec.grid(x=xs)
         )
         store = SqliteStore(str(tmp_path / "sweep.db"))
@@ -126,7 +124,7 @@ class TestEngineIntegration:
 class TestMigration:
     def test_directory_to_sqlite_preserves_identity(self, sql_experiment, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        engine = Engine(cache_dir=cache_dir)
+        engine = Engine(store=cache_dir)
         for x in (1.0, 2.0, 3.0):
             engine.run(sql_experiment, x=x)
         source = SharedStore(cache_dir)
@@ -177,7 +175,7 @@ class TestMigration:
         path = source.entry_path("exp", "a" * 16)
         source.publish(path, _result(experiment="exp"), created_at=1234567890.0)
 
-        destination = LocalStore(str(tmp_path / "cache"))
+        destination = SharedStore(str(tmp_path / "cache"))
         report = migrate_store(source, destination)
         assert report.migrated == 1
         entry = destination.entries()[0]

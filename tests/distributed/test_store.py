@@ -8,13 +8,12 @@ import time
 import pytest
 
 from repro.api import Engine, ResultSet
-from repro.api.cache import clear_cache, prune_cache, scan_cache
+from repro.api.cache import clear_cache, prune_cache
 from repro.api.experiment import Experiment, ParamSpec
 from repro.dist import (
     CLAIM_ACQUIRED,
     CLAIM_BUSY,
     CLAIM_DONE,
-    LocalStore,
     SharedStore,
     StoreLockTimeout,
     store_lock,
@@ -37,24 +36,20 @@ def _result(x: float = 1.0) -> ResultSet:
     )
 
 
-class TestLocalStore:
+class TestDirectoryStore:
     def test_layout_matches_engine_cache(self, tmp_path):
-        """Engine(store=LocalStore(d)) and Engine(cache_dir=d) are the same store."""
+        """Engine(store=d) and Engine(store=SharedStore(d)) are the same store."""
         directory = str(tmp_path)
         experiment = _experiment()
-        Engine(cache_dir=directory).run(experiment, x=3.0)
+        Engine(store=directory).run(experiment, x=3.0)
 
-        engine = Engine(store=LocalStore(directory))
-        assert engine.cache_dir == directory
+        engine = Engine(store=SharedStore(directory))
+        assert engine.store.directory == directory
         served = engine.run(experiment, x=3.0)
         assert served.meta.get("cache_hit") is True
 
-    def test_cache_dir_and_store_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            Engine(cache_dir=str(tmp_path), store=LocalStore(str(tmp_path)))
-
     def test_load_tolerates_missing_and_corrupt(self, tmp_path):
-        store = LocalStore(str(tmp_path))
+        store = SharedStore(str(tmp_path))
         path = store.entry_path("dist_store_exp", "0" * 16)
         assert store.load(path) is None
         with open(path, "w") as handle:
@@ -62,19 +57,10 @@ class TestLocalStore:
         assert store.load(path) is None
 
     def test_publish_round_trip(self, tmp_path):
-        store = LocalStore(str(tmp_path))
+        store = SharedStore(str(tmp_path))
         path = store.entry_path("dist_store_exp", "a" * 16)
         store.publish(path, _result(2.0))
         assert store.load(path) == _result(2.0)
-
-    def test_claim_is_trivial(self, tmp_path):
-        store = LocalStore(str(tmp_path))
-        path = store.entry_path("dist_store_exp", "b" * 16)
-        assert store.claim(path, "w1") == CLAIM_ACQUIRED
-        # No coordination: a second worker may also "claim" locally.
-        assert store.claim(path, "w2") == CLAIM_ACQUIRED
-        store.publish(path, _result())
-        assert store.claim(path, "w1") == CLAIM_DONE
 
 
 class TestSharedStoreClaims:
@@ -130,12 +116,6 @@ class TestSharedStoreClaims:
         with open(path, "w") as handle:
             handle.write('{"truncated": ')
         assert store.claim(path, "w1", ttl=60.0) == CLAIM_ACQUIRED
-        # Same contract on the local store.
-        local = LocalStore(str(tmp_path))
-        corrupt = local.entry_path("dist_store_exp", "9" * 16)
-        with open(corrupt, "w") as handle:
-            handle.write("garbage")
-        assert local.claim(corrupt, "w1") == CLAIM_ACQUIRED
 
     def test_invalid_ttl_rejected(self, tmp_path):
         store = SharedStore(str(tmp_path))
@@ -157,7 +137,7 @@ class TestSharedStoreClaims:
         store = SharedStore(str(tmp_path))
         path = store.entry_path("dist_store_exp", "5" * 16)
         store.claim(path, "w1", ttl=60.0)
-        assert scan_cache(str(tmp_path)) == []
+        assert store.entries() == []
 
 
 class TestStoreLock:

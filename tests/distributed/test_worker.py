@@ -22,7 +22,7 @@ from repro.api.engine import cache_key
 from repro.api.experiment import ParamSpec, get_experiment
 from repro.dist import SharedStore, ShardPlan, run_worker
 
-from store_contract import COORDINATED
+from store_contract import HARNESSES
 
 SPEC = SweepSpec.grid(length_um=[1.0, 5.0, 10.0, 50.0, 100.0, 500.0])
 
@@ -271,7 +271,7 @@ class TestWorkerCLI:
         assert merged.content_hash == serial.content_hash
 
 
-@pytest.mark.parametrize("harness", COORDINATED, ids=lambda h: h.name)
+@pytest.mark.parametrize("harness", HARNESSES, ids=lambda h: h.name)
 class TestPassHeartbeat:
     def test_queued_leases_are_renewed_while_an_earlier_point_runs(
         self, harness, tmp_path

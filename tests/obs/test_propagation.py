@@ -38,7 +38,7 @@ class TestPoolPropagation:
         sink = str(tmp_path / "trace.jsonl")
         with tracing(sink):
             with Engine(
-                cache_dir=str(tmp_path / "cache"), executor=executor, max_workers=2
+                store=str(tmp_path / "cache"), executor=executor, max_workers=2
             ) as engine:
                 engine.sweep("table_density", SPEC)
         spans = _read_spans(sink)
@@ -55,12 +55,12 @@ class TestPoolPropagation:
             assert any(span["pid"] != parent_pid for span in points)
 
     def test_tracing_leaves_content_hashes_bit_identical(self, tmp_path):
-        baseline = Engine(cache_dir=str(tmp_path / "cache-a")).sweep(
+        baseline = Engine(store=str(tmp_path / "cache-a")).sweep(
             "table_density", SPEC
         )
         with tracing(str(tmp_path / "trace.jsonl")):
             with Engine(
-                cache_dir=str(tmp_path / "cache-b"),
+                store=str(tmp_path / "cache-b"),
                 executor="process",
                 max_workers=2,
             ) as engine:
@@ -168,7 +168,7 @@ class TestServicePropagation:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5.0)
-        serial = Engine(cache_dir=str(tmp_path / "cache")).sweep(
+        serial = Engine(store=str(tmp_path / "cache")).sweep(
             "table_density", SPEC
         )
         assert fetched.content_hash == serial.content_hash

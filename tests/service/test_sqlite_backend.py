@@ -3,7 +3,7 @@
 The acceptance bar for the sqlite backend: a sweep submitted over HTTP,
 executed by a daemon whose result store is a ``SqliteStore`` (resolved from
 the ``sqlite:///`` CLI spelling), fetched back through the client, is
-content-hash identical to a serial ``LocalStore`` run of the same spec --
+content-hash identical to a serial directory-store run of the same spec --
 and the sqlite catalog afterwards answers ``repro query`` over the sweep's
 stored parameters.
 """
